@@ -5,8 +5,8 @@ Times the pooled per-cell lifetime path
 ``SystemSimulator`` per chip) against the structure-of-arrays
 :class:`~repro.system.fleet.FleetSimulator`, which advances the whole
 population as ``(n_chips * n_cores, ...)`` tensors in one ufunc pass
-per epoch and shares condition / kernel / thermal caches across every
-chip of the fleet.
+per epoch, shares condition / thermal caches across every chip of the
+fleet and builds one deduplicated BTI kernel per epoch.
 
 Timings, chips/sec and cache hit counts land in ``BENCH_fleet.json``
 at the repo root; the 1024-chip test asserts the PR acceptance
@@ -136,9 +136,15 @@ def test_fleet_vs_pooled_sweep_1k_chips(benchmark):
                                   n_epochs=N_EPOCHS, seed=7,
                                   engine="pooled")
 
+    kernel_counts = {}
+
     def fleet():
+        before = cache_counters().get("bti.fleet.kernels", {})
         simulator = FleetSimulator(Chip(3, 3), N_CHIPS)
         result = simulator.run(N_EPOCHS, _workload(), _policy())
+        after = cache_counters()["bti.fleet.kernels"]
+        kernel_counts.update({key: value - before.get(key, 0)
+                              for key, value in after.items()})
         return result, simulator
 
     # Interleave the two timed paths so machine-speed drift (VM steal
@@ -163,7 +169,6 @@ def test_fleet_vs_pooled_sweep_1k_chips(benchmark):
             <= EQUIVALENCE_TOLERANCE
 
     conditions = simulator._condition_cache
-    kernels = simulator.state.bti.kernel_cache
     thermal = simulator.chip.thermal.steady_cache
     entry = record(
         "fleet_vs_pooled_sweep_1024_chips", before_s, after_s,
@@ -172,8 +177,9 @@ def test_fleet_vs_pooled_sweep_1k_chips(benchmark):
         chips_per_s_after=N_CHIPS / after_s,
         condition_cache_hits=conditions.hits,
         condition_cache_misses=conditions.misses,
-        bti_kernel_cache_hits=kernels.hits if kernels else 0,
-        bti_kernel_cache_misses=kernels.misses if kernels else 0,
+        bti_kernel_builds=kernel_counts["kernel_builds"],
+        bti_kernel_dedup_rows_in=kernel_counts["dedup_rows_in"],
+        bti_kernel_dedup_rows_unique=kernel_counts["dedup_rows_unique"],
         thermal_cache_hits=thermal.hits,
         thermal_cache_misses=thermal.misses)
     run_once(benchmark, lambda: fleet()[0])
@@ -181,12 +187,13 @@ def test_fleet_vs_pooled_sweep_1k_chips(benchmark):
 
 
 def test_fleet_scaling_with_variation(benchmark):
-    """Record-only: 4096 varied chips through the grouped kernel path.
+    """Record-only: 4096 varied chips through the mixed-count sweep.
 
-    Process variation splits the population across sub-step-count
-    groups, so this exercises the gather/scatter path the homogeneous
-    benchmark never touches -- the number to watch is chips/sec
-    staying within an order of magnitude of the homogeneous rate.
+    Process variation gives chips different sub-step counts and
+    defeats most kernel row dedup, so this exercises the per-block
+    compaction and the large kernel tables the homogeneous benchmark
+    never touches -- the number to watch is chips/sec staying within
+    an order of magnitude of the homogeneous rate.
     """
     n_chips = 4096
     n_epochs = 48

@@ -6,7 +6,14 @@ dynamics for every core of every chip of a population, so this module
 stacks the chip dimension as well: a
 :class:`StackedTrapPopulations` holds ``n_chips * n_units`` rows of
 trap state in one structure-of-arrays block and advances them with the
-same sub-step kernels, evaluated as single full-stack ufunc passes.
+same sub-step kernels.
+
+One epoch is one kernel build and one sweep.  The build derives each
+row's sub-step count and length from its chip and evaluates the
+sub-step factors once per *distinct* row (see
+:meth:`StackedTrapPopulations._build_step_kernel`); the sweep then
+walks the stack in cache-sized row blocks, gathers each block's
+factors from the deduplicated tables and runs its sub-steps in place.
 
 Exactness contract: every per-row update below is elementwise in the
 row (unit) dimension -- fills, drains, age bookkeeping and lock-in all
@@ -14,11 +21,13 @@ read and write only their own row -- so stacking chips does not change
 any chip's trajectory.  The only cross-row coupling in the scalar
 engine is the *sub-step count*, which
 :meth:`repro.system.aging.FleetBtiState.step` derives from the chip's
-peak capture acceleration.  The stacked step computes that count per
-chip and advances chips in groups sharing a count, which keeps the
-trajectory of every chip bit-identical to its standalone
-:class:`~repro.system.aging.FleetBtiState` (the fleet equivalence
-tests assert exactly this).
+peak capture acceleration.  The stacked step derives that count per
+chip and gives each row exactly its chip's number of sub-steps: a
+block runs its smallest count in place, and the rows whose chips need
+more continue in a compacted copy that is written back.  Every row
+therefore sees the op sequence of its standalone
+:class:`~repro.system.aging.FleetBtiState`, bit for bit (the fleet
+equivalence tests assert exactly this).
 """
 
 from __future__ import annotations
@@ -30,14 +39,14 @@ import numpy as np
 
 from repro.bti.traps import TrapPopulationConfig
 from repro.errors import SimulationError
-from repro.solvers import FactorizationCache, record_counters
+from repro.solvers import record_counters
 
-#: Row-block height of the sub-step loop.  One block touches about
-#: ten ``(block, n_bins)`` arrays (state, kernel slices, scratch), so
-#: 256 rows x 64 bins keeps the working set around 1 MiB -- small
-#: enough to survive in a per-core L2 across every sub-step of the
-#: block, which is what turns the ~15 elementwise passes per sub-step
-#: from DRAM streams into cache hits.
+#: Row-block height of the sub-step sweep.  One block touches about
+#: ten ``(block, n_bins)`` arrays (state, gathered kernel rows,
+#: scratch), so 256 rows x 64 bins keeps the working set around
+#: 1 MiB -- small enough to survive in a per-core L2 across every
+#: sub-step of the block, which is what turns the ~15 elementwise
+#: passes per sub-step from DRAM streams into cache hits.
 _SUBSTEP_BLOCK_ROWS = 256
 
 
@@ -45,23 +54,14 @@ class StackedTrapPopulations:
     """Trap-population state for ``n_chips`` chips of ``n_units`` cores.
 
     The state lives in flat ``(n_chips * n_units, n_bins)`` arrays
-    (chip-major), so the homogeneous fast path -- every chip sharing
-    one sub-step count -- advances the whole population with the same
-    in-place masked full-array passes as the single-chip engine,
-    touching no Python per chip.
+    (chip-major) and is advanced in place, block by block; the only
+    other arrays it keeps are block-sized scratch.
 
     Args:
         n_chips: population size.
         n_units: cores per chip.
         config: trap-population parameters (defaults to the 64-bin
             system configuration).
-        kernel_cache_size: LRU capacity of the sub-step kernel memo;
-            0 disables it.  A cached kernel holds two dense
-            ``(rows, n_bins)`` arrays plus three ``(rows, 1)``
-            columns, so fleet-scale callers should size this from a
-            memory budget (the fleet simulator does).
-            Kernels are only memoized when the caller passes a
-            ``kernel_key`` identifying the epoch's conditions.
         dtype: dtype of the trap-state arrays, ``np.float64``
             (default, bit-exact vs the single-chip engine) or
             ``np.float32`` (halves state memory; kernels are still
@@ -73,15 +73,11 @@ class StackedTrapPopulations:
 
     def __init__(self, n_chips: int, n_units: int,
                  config: Optional[TrapPopulationConfig] = None,
-                 kernel_cache_size: int = 0,
                  dtype=np.float64):
         if n_chips < 1:
             raise SimulationError("n_chips must be at least 1")
         if n_units < 1:
             raise SimulationError("n_units must be at least 1")
-        if kernel_cache_size < 0:
-            raise SimulationError(
-                "kernel_cache_size must be non-negative")
         dtype = np.dtype(dtype)
         if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
             raise SimulationError(
@@ -101,15 +97,14 @@ class StackedTrapPopulations:
         self.age_s = np.zeros(shape, dtype=dtype)
         self.permanent_v = np.zeros(rows, dtype=dtype)
         self.time_s = 0.0
-        self.kernel_cache = (
-            FactorizationCache(maxsize=kernel_cache_size,
-                               name="bti.fleet.kernels")
-            if kernel_cache_size else None)
-        self._buf_a = np.empty(shape, dtype=dtype)
-        self._buf_b = np.empty(shape, dtype=dtype)
-        self._buf_c = np.empty(shape, dtype=dtype)
-        self._mask = np.empty(shape, dtype=bool)
-        self._mask_b = np.empty(shape, dtype=bool)
+        block = (min(rows, _SUBSTEP_BLOCK_ROWS), cfg.n_bins)
+        self._decay = np.empty(block, dtype=dtype)
+        self._inflow = np.empty(block, dtype=dtype)
+        self._buf_a = np.empty(block, dtype=dtype)
+        self._buf_b = np.empty(block, dtype=dtype)
+        self._buf_c = np.empty(block, dtype=dtype)
+        self._mask = np.empty(block, dtype=bool)
+        self._mask_b = np.empty(block, dtype=bool)
 
     # -- observables ----------------------------------------------------
 
@@ -130,8 +125,7 @@ class StackedTrapPopulations:
 
     def step(self, dt_s: float, stressing: np.ndarray,
              capture_acceleration: np.ndarray,
-             recovery_acceleration: np.ndarray,
-             kernel_key=None) -> None:
+             recovery_acceleration: np.ndarray) -> None:
         """Advance every chip by ``dt_s``.
 
         Args:
@@ -141,12 +135,6 @@ class StackedTrapPopulations:
                 multipliers for the stressing units.
             recovery_acceleration: ``(n_chips, n_units)`` de-trapping
                 multipliers for the recovering units.
-            kernel_key: optional hashable token uniquely identifying
-                the epoch's ``(dt_s, stressing, capture, recovery)``
-                content (e.g. the fleet's assignment digest).  When
-                given and a kernel cache is configured, the sub-step
-                factors are memoized on it; when ``None`` they are
-                rebuilt each call.
         """
         if dt_s < 0.0:
             raise SimulationError("dt_s must be non-negative")
@@ -158,100 +146,49 @@ class StackedTrapPopulations:
             if array.shape != shape:
                 raise SimulationError(
                     f"per-unit arrays must have shape {shape}")
-        cfg = self.config
-        # Per-chip sub-step count, matching FleetBtiState.step's
-        # scalar derivation chip by chip (same operation order, so the
-        # same floats and the same ceil).
-        any_stress = stressing.any(axis=1)
-        if any_stress.any():
-            peak = np.max(capture, axis=1, initial=-np.inf,
-                          where=stressing)
-            peak = np.where(any_stress, peak, 1.0)
-        else:
-            peak = np.ones(self.n_chips)
-        raw = np.ceil(dt_s * np.maximum(peak, 1e-12)
-                      / max(cfg.lock_age_s / 8.0, 1e-9))
-        n_steps = np.clip(raw.astype(np.int64), 1, 64)
-        flat_stress = stressing.reshape(-1)
-        flat_capture = capture.reshape(-1)
-        flat_recovery = recovery.reshape(-1)
-        # Chips sharing a sub-step count advance together; with no (or
-        # mild) process variation that is one group covering the whole
-        # stack, i.e. zero gather/scatter.
-        for group, count in enumerate(np.unique(n_steps)):
-            chips = np.nonzero(n_steps == count)[0]
-            if chips.size == self.n_chips:
-                rows: object = slice(None)
-            else:
-                rows = (chips[:, None] * self.n_units
-                        + np.arange(self.n_units)[None, :]).reshape(-1)
-            sub_key = (None if kernel_key is None
-                       else (kernel_key, int(count), group))
-            self._advance_rows(
-                rows, dt_s, int(count), flat_stress, flat_capture,
-                flat_recovery, bool(any_stress[chips].any()), sub_key)
+        counts, inverse, eq, stress, decay, inflow, fraction = \
+            self._build_step_kernel(dt_s, stressing, capture, recovery)
+        # Every op below is elementwise per row, so block order and
+        # the compaction of the rows that need extra sub-steps change
+        # nothing: each row sees the exact op sequence of the
+        # single-chip engine, bit for bit.
+        rows = counts.size
+        for start in range(0, rows, _SUBSTEP_BLOCK_ROWS):
+            stop = min(start + _SUBSTEP_BLOCK_ROWS, rows)
+            m = stop - start
+            index = inverse[start:stop]
+            block_counts = counts[start:stop]
+            kernel = (
+                eq[index], stress[index],
+                np.take(decay, index, axis=0, out=self._decay[:m],
+                        mode="clip"),
+                np.take(inflow, index, axis=0, out=self._inflow[:m],
+                        mode="clip"),
+                None if fraction is None else fraction[index])
+            state = (self.occupancy[start:stop], self.age_s[start:stop],
+                     self.weights[start:stop],
+                     self.permanent_v[start:stop])
+            done = int(block_counts.min())
+            self._advance_block(*state, *kernel, done)
+            last = int(block_counts.max())
+            while done < last:
+                more = np.flatnonzero(block_counts > done)
+                level = int(block_counts[more].min())
+                compact = tuple(array[more] for array in state)
+                self._advance_block(
+                    *compact,
+                    *(None if array is None else array[more]
+                      for array in kernel),
+                    level - done)
+                for array, rows_more in zip(state, compact):
+                    array[more] = rows_more
+                done = level
         self.time_s += dt_s
-
-    def _advance_rows(self, rows, dt_s: float, n_steps: int,
-                      flat_stress: np.ndarray,
-                      flat_capture: np.ndarray,
-                      flat_recovery: np.ndarray,
-                      any_stress: bool, kernel_key) -> None:
-        """Advance one group of chips sharing a sub-step count."""
-        step = dt_s / n_steps
-        full = isinstance(rows, slice)
-        if full:
-            occupancy = self.occupancy
-            age = self.age_s
-            weights = self.weights
-            permanent = self.permanent_v
-            stress_rows = flat_stress
-            capture_rows = flat_capture
-            recovery_rows = flat_recovery
-        else:
-            occupancy = self.occupancy[rows]
-            age = self.age_s[rows]
-            weights = self.weights[rows]
-            permanent = self.permanent_v[rows]
-            stress_rows = flat_stress[rows]
-            capture_rows = flat_capture[rows]
-            recovery_rows = flat_recovery[rows]
-        m = occupancy.shape[0]
-        if self.kernel_cache is not None and kernel_key is not None:
-            kernel = self.kernel_cache.get_or_build(
-                kernel_key,
-                lambda: self._build_step_kernel(
-                    step, stress_rows, capture_rows, recovery_rows))
-        else:
-            kernel = self._build_step_kernel(
-                step, stress_rows, capture_rows, recovery_rows)
-        eq_col, stress_col, decay, inflow, fraction = kernel
-        # Row-block the sub-step loop so one block's state and kernel
-        # slices stay cache-resident across all ``n_steps`` passes --
-        # at fleet scale the full stack is tens of megabytes and the
-        # ~15 streaming passes per sub-step are otherwise pure DRAM
-        # traffic.  Every op below is elementwise per row, so block
-        # order changes nothing: each row sees the exact op sequence
-        # of the unblocked (and single-chip) engine, bit for bit.
-        for start in range(0, m, _SUBSTEP_BLOCK_ROWS):
-            stop = min(start + _SUBSTEP_BLOCK_ROWS, m)
-            self._advance_block(
-                occupancy[start:stop], age[start:stop],
-                weights[start:stop], permanent[start:stop],
-                eq_col[start:stop], stress_col[start:stop],
-                decay[start:stop], inflow[start:stop],
-                None if fraction is None else fraction[start:stop],
-                n_steps, any_stress)
-        if not full:
-            self.occupancy[rows] = occupancy
-            self.age_s[rows] = age
-            self.weights[rows] = weights
-            self.permanent_v[rows] = permanent
 
     def _advance_block(self, occupancy, age, weights, permanent,
                        eq_col, stress_col, decay, inflow, fraction,
-                       n_steps: int, any_stress: bool) -> None:
-        """All sub-steps of one cache-sized row block, in place.
+                       n_steps: int) -> None:
+        """``n_steps`` sub-steps of one cache-sized row block, in place.
 
         Same in-place masked passes as
         :meth:`repro.system.aging.FleetBtiState.step` -- every op is
@@ -268,6 +205,7 @@ class StackedTrapPopulations:
         buf_b = self._buf_b[:m]
         buf_c = self._buf_c[:m]
         mask = self._mask[:m]
+        lock = fraction is not None and bool(stress_col.any())
         for _ in range(n_steps):
             np.multiply(occupancy, decay, out=occupancy)
             np.add(occupancy, inflow, out=occupancy)
@@ -275,7 +213,7 @@ class StackedTrapPopulations:
             np.add(age, eq_col, out=age, where=mask)
             np.less_equal(occupancy, cfg.age_off_occupancy, out=mask)
             np.copyto(age, 0.0, where=mask)
-            if fraction is not None and any_stress:
+            if lock:
                 np.greater(age, cfg.lock_age_s, out=mask)
                 np.logical_and(mask, stress_col, out=mask)
                 if mask.any():
@@ -295,70 +233,105 @@ class StackedTrapPopulations:
                     np.divide(buf_a, buf_c, out=occupancy,
                               where=positive)
 
-    def _build_step_kernel(self, step: float, stressing: np.ndarray,
+    def _build_step_kernel(self, dt_s: float, stressing: np.ndarray,
                            capture: np.ndarray, recovery: np.ndarray):
-        """Sub-step-invariant factors for one group of rows.
+        """Per-row sub-step counts and the deduplicated step factors.
 
-        Identical math to
-        :meth:`repro.system.aging.FleetBtiState._build_step_kernel`,
-        evaluated over the group's rows.  Every factor is elementwise
-        per row, so the transcendental work runs once per *distinct*
-        ``(stressing, capture, recovery)`` triple (a fleet of 1k
-        chips typically has only ``n_units`` of them) and gathers back
-        to full rows -- the gather reproduces each row's value bit for
-        bit.  Rows are deduplicated on their raw bytes, never through
-        float comparisons, so even ``-0.0`` vs ``0.0`` rows keep their
-        own kernels.
+        Each chip's sub-step count follows
+        :meth:`repro.system.aging.FleetBtiState.step`'s scalar
+        derivation (same operation order, so the same floats and the
+        same ceil), and its sub-step is ``dt_s / count`` in float64,
+        which is the scalar engine's ``dt_s / int(count)``.
 
-        Returns ``(eq_col, stress_col, decay, inflow, fraction)``
-        where ``decay`` / ``inflow`` are dense ``(rows, n_bins)``
-        factors and the per-row constants stay ``(rows, 1)`` columns
-        (they broadcast in the sub-step ufuncs).  All arrays are
-        freshly allocated, so cached kernels never alias caller
-        buffers.
+        A row's factors are a function of its stress flag and one
+        scalar: ``capture * step`` on a stressing row, ``(-step) *
+        recovery`` on a resting one.  Rows are deduplicated on the
+        flag and the scalar's raw int64 bits -- never through float
+        comparisons, so even ``-0.0`` vs ``0.0`` rows keep their own
+        factors -- and the factor expressions of
+        :meth:`repro.system.aging.FleetBtiState._build_step_kernel`
+        run on the unique rows only.  Gathering a unique row back
+        reproduces each row's value bit for bit.
+
+        Returns ``(counts, inverse, eq, stress, decay, inflow,
+        fraction)``: the per-row sub-step counts, the per-row index
+        into the unique tables, ``(unique, 1)`` columns of the
+        equivalent stress time, stress flag and lock-in fraction
+        (``None`` without lock-in), and the ``(unique, n_bins)``
+        affine sub-step factors.
         """
         cfg = self.config
-        m = stressing.shape[0]
-        triples = np.empty((m, 3))
-        triples[:, 0] = stressing
-        triples[:, 1] = capture
-        triples[:, 2] = recovery
-        packed = np.ascontiguousarray(triples).view(
-            np.dtype((np.void, triples.dtype.itemsize * 3))).ravel()
-        _, first, inverse = np.unique(packed, return_index=True,
-                                      return_inverse=True)
+        # Per-chip sub-step count, matching FleetBtiState.step's
+        # scalar derivation chip by chip.
+        any_stress = stressing.any(axis=1)
+        if any_stress.any():
+            peak = np.max(capture, axis=1, initial=-np.inf,
+                          where=stressing)
+            peak = np.where(any_stress, peak, 1.0)
+        else:
+            peak = np.ones(self.n_chips)
+        raw = np.ceil(dt_s * np.maximum(peak, 1e-12)
+                      / max(cfg.lock_age_s / 8.0, 1e-9))
+        chip_counts = np.clip(raw.astype(np.int64), 1, 64)
+        counts = np.repeat(chip_counts, self.n_units)
+        step = np.repeat(dt_s / chip_counts, self.n_units)
+        flat_stress = stressing.reshape(-1)
+        scalar = np.multiply(capture.reshape(-1), step)
+        np.multiply(-step, recovery.reshape(-1), out=scalar,
+                    where=~flat_stress)
+        bits = scalar.view(np.int64)
+        order = np.argsort(bits)
+        # Resting rows first; each half stays sorted on its bits.
+        order = order[np.argsort(flat_stress[order], kind="stable")]
+        keys, flags = bits[order], flat_stress[order]
+        head = np.empty(order.size, dtype=bool)
+        head[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        head[1:] |= flags[1:] != flags[:-1]
+        first = order[head]
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(head) - 1
         record_counters("bti.fleet.kernels",
                         kernel_builds=1,
-                        dedup_rows_in=m,
+                        dedup_rows_in=order.size,
                         dedup_rows_unique=first.size)
-        u_stress = stressing[first]
-        u_capture = capture[first]
-        u_recovery = recovery[first]
-        shape = (first.size, cfg.n_bins)
-        equivalent = np.where(u_stress, u_capture * step, 0.0)
-        eq_unique = equivalent[:, None]
-        fill = -np.expm1(-eq_unique / self.tau_c[None, :])
-        tau_e = cfg.emission_scale * self.tau_c
-        drain = np.ones(shape)
-        resting = ~u_stress
-        if np.any(resting):
-            drain[resting] = np.exp(-step * u_recovery[resting, None]
-                                    / tau_e[None, :])
-        decay = ((1.0 - fill) * drain)[inverse]
-        inflow = (fill * drain)[inverse]
-        eq_col = eq_unique[inverse]
-        stress_col = u_stress[inverse][:, None].copy()
+        u_stress = flags[head]
+        u_scalar = scalar[first]
+        n_rest = first.size - np.count_nonzero(u_stress)
+        equivalent = np.where(u_stress, u_scalar, 0.0)
+        # The scalar engine's factors: fill = -expm1(-eq / tau_c),
+        # drain = exp(-step * recovery / tau_e) on resting rows and
+        # 1 on stressing ones, decay = (1 - fill) * drain and
+        # inflow = fill * drain.  A resting row has eq = 0, so its
+        # fill is one shared row; a stressing row's products with a
+        # drain of exactly 1 are the factors themselves.
+        decay = np.empty((first.size, cfg.n_bins))
+        inflow = np.empty_like(decay)
+        rest_fill = -np.expm1(-0.0 / self.tau_c)
+        drain = decay[:n_rest]
+        np.divide(u_scalar[:n_rest, None],
+                  cfg.emission_scale * self.tau_c, out=drain)
+        np.exp(drain, out=drain)
+        np.multiply(rest_fill, drain, out=inflow[:n_rest])
+        np.multiply(1.0 - rest_fill, drain, out=drain)
+        fill = inflow[n_rest:]
+        np.divide(-equivalent[n_rest:, None], self.tau_c, out=fill)
+        np.expm1(fill, out=fill)
+        np.negative(fill, out=fill)
+        np.subtract(1.0, fill, out=decay[n_rest:])
+        eq = equivalent[:, None]
         fraction = None
         if cfg.lock_rate_per_s > 0.0:
             fraction = -np.expm1(
-                -cfg.lock_rate_per_s * equivalent)[inverse][:, None]
+                -cfg.lock_rate_per_s * equivalent)[:, None]
         if self.dtype != np.float64:
             # Kernels are derived in float64 above and rounded once
             # here, so reduced-precision state never compounds errors
             # through the transcendental factor math itself.
-            eq_col = eq_col.astype(self.dtype)
+            eq = eq.astype(self.dtype)
             decay = decay.astype(self.dtype)
             inflow = inflow.astype(self.dtype)
             if fraction is not None:
                 fraction = fraction.astype(self.dtype)
-        return (eq_col, stress_col, decay, inflow, fraction)
+        return (counts, inverse, eq, u_stress[:, None], decay, inflow,
+                fraction)

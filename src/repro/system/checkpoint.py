@@ -757,8 +757,7 @@ class FleetSession:
                  seed: int = 0,
                  calibration: Optional[BtiCalibration] = None,
                  em_reference: Optional[EmStressCondition] = None,
-                 state_dtype=np.float64,
-                 kernel_cache_budget_bytes: int = 256 * 2 ** 20):
+                 state_dtype=np.float64):
         if isinstance(chip, Chip):
             built = chip
         elif isinstance(chip, ChipConfig):
@@ -802,15 +801,12 @@ class FleetSession:
                 "calibration": calibration,
                 "em_reference": em_reference,
                 "state_dtype": np.dtype(state_dtype).str,
-                "kernel_cache_budget_bytes": int(
-                    kernel_cache_budget_bytes),
             },
         }
         self._simulator = FleetSimulator(
             built, n_chips, calibration=calibration,
             em_reference=em_reference, epoch_s=epoch_s,
             variation=variation, seed=seed,
-            kernel_cache_budget_bytes=kernel_cache_budget_bytes,
             state_dtype=state_dtype)
         self._run = _FleetRun(self._simulator, self._groups,
                               record_every=self._record_every,
@@ -926,6 +922,9 @@ class FleetSession:
             raise CheckpointError(
                 f"session spec is corrupt: {error}") from error
         kwargs = dict(spec["kwargs"])
+        # Sessions saved while the BTI kernel memo existed carry its
+        # byte budget; the memo is gone and never changed a result.
+        kwargs.pop("kernel_cache_budget_bytes", None)
         variation = FleetVariation(
             capture_scale=np.array(
                 source.arrays["variation/capture_scale"]),

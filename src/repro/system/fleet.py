@@ -514,9 +514,10 @@ def state_bytes_per_chip(n_cores: int,
                          state_dtype=np.float64) -> int:
     """Resident aging-state bytes one fleet chip costs.
 
-    Counts the stacked trap arrays (three state + three scratch
-    ``(n_cores, n_bins)`` blocks in ``state_dtype`` plus two boolean
-    masks) and the flat float64 EM accumulators.  The chunked runner
+    Counts the stacked trap arrays (three state ``(n_cores, n_bins)``
+    blocks in ``state_dtype``, three more as headroom for each epoch's
+    transient kernel tables, and two boolean masks' worth) and the
+    flat float64 EM accumulators.  The chunked runner
     divides ``state_budget_bytes`` by this to pick its row-block
     height.
     """
@@ -538,7 +539,6 @@ class FleetState:
     def __init__(self, chip: Chip, variation: FleetVariation,
                  calibration: BtiCalibration,
                  em_reference: EmStressCondition,
-                 kernel_cache_budget_bytes: int,
                  state_dtype=np.float64):
         self.n_chips = variation.n_chips
         self.n_cores = chip.n_cores
@@ -547,17 +547,10 @@ class FleetState:
         rows = self.n_chips * self.n_cores
         population = replace(
             calibration.model_config.population, n_bins=_FLEET_N_BINS)
-        # A cached BTI kernel holds two dense (rows, n_bins) state-
-        # dtype arrays plus three (rows, 1) columns; size the memo so
-        # a cycling schedule can be fully resident without letting a
-        # million-chip fleet allocate gigabytes.
-        kernel_entries = _budget_entries(
-            kernel_cache_budget_bytes,
-            (2 * population.n_bins + 3) * rows
-            * self.state_dtype.itemsize, cap=16)
+        # BTI sub-step kernels are not memoized: each epoch builds one
+        # over its distinct rows and drops it after the sweep.
         self.bti = StackedTrapPopulations(
             self.n_chips, self.n_cores, population,
-            kernel_cache_size=kernel_entries,
             dtype=self.state_dtype)
         # EM rate entries are five (rows,) arrays -- far lighter.
         em_entries = max(1, _budget_entries(
@@ -597,8 +590,6 @@ class FleetSimulator:
         variation: per-chip scales, a spec to draw them from, or
             ``None`` for an identical population.
         seed: draw seed used when ``variation`` is a spec.
-        kernel_cache_budget_bytes: memory budget of the stacked BTI
-            sub-step kernel memo (the dominant cache at fleet scale).
         state_dtype: trap-state dtype; ``np.float64`` (default,
             bit-exact) or ``np.float32`` (half the state memory,
             error within :data:`FLOAT32_MAX_RELATIVE_ERROR`).
@@ -611,7 +602,6 @@ class FleetSimulator:
                  variation: Union[FleetVariation, FleetVariationSpec,
                                   None] = None,
                  seed: int = 0,
-                 kernel_cache_budget_bytes: int = 256 * 2 ** 20,
                  state_dtype=np.float64):
         if epoch_s <= 0.0:
             raise SimulationError("epoch_s must be positive")
@@ -634,7 +624,6 @@ class FleetSimulator:
             name="grid reference")
         self.state = FleetState(chip, variation, self.calibration,
                                 self.em_reference,
-                                kernel_cache_budget_bytes,
                                 state_dtype=state_dtype)
         self.kernels = BtiConditionKernels(
             self.calibration.model_config.acceleration,
@@ -871,8 +860,7 @@ class _FleetRun:
                 lambda: simulator._build_group_conditions(keyed,
                                                           token))
             state.bti.step(epoch_s, cond.stressing,
-                           cond.capture_safe, cond.recovery,
-                           kernel_key=token)
+                           cond.capture_safe, cond.recovery)
             state.em.step(epoch_s, cond.j_flat, cond.temps_flat,
                           key=(epoch_s, token))
             delta_vth = state.delta_vth_v()

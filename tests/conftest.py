@@ -9,6 +9,7 @@ fidelity studies live in the benchmarks, not the unit tests.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.bti.calibration import BtiCalibration, default_calibration
 from repro.em.korhonen import KorhonenConfig
@@ -27,3 +28,9 @@ def fast_em_config() -> EmLineConfig:
     return EmLineConfig(
         korhonen=KorhonenConfig(n_nodes=301, max_dt_s=120.0),
         max_step_s=120.0)
+
+
+#: ``--hypothesis-profile=deep`` reruns the randomized differential
+#: tests far past their tier-1 example budget (a named CI step).
+settings.register_profile("deep", max_examples=300, deadline=None,
+                          print_blob=True)

@@ -245,6 +245,21 @@ class TestFleetSession:
         loaded.advance(3)
         assert_results_bitwise_equal(loaded.result(), reference)
 
+    def test_load_accepts_a_spec_with_the_retired_kernel_budget(
+            self, tmp_path):
+        # Sessions saved while the BTI kernel memo existed embed its
+        # byte budget in their spec; loading one must still resume.
+        path = tmp_path / "legacy.npz"
+        session = make_session().advance(3)
+        session._spec["kwargs"]["kernel_cache_budget_bytes"] = 2 ** 28
+        session.save(path)
+        session.advance(3)
+        reference = session.result()
+        loaded = FleetSession.load(path).advance(3)
+        assert_results_bitwise_equal(loaded.result(), reference)
+        assert np.array_equal(loaded.delta_vth_v(),
+                              session.delta_vth_v())
+
     def test_heterogeneous_groups_round_trip(self, tmp_path):
         path = tmp_path / "hetero.npz"
         session = make_session(groups=hetero_groups()).advance(3)

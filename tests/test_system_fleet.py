@@ -153,8 +153,9 @@ class TestFleetSubStepGroups:
 
     def test_wild_variation_still_matches_serial(self):
         # Capture sigma large enough that per-chip n_steps straddles
-        # several ceil boundaries, forcing the grouped gather/scatter
-        # path in StackedTrapPopulations.step.
+        # several ceil boundaries, so row blocks mix sub-step counts
+        # and StackedTrapPopulations.step compacts the rows that need
+        # extra sub-steps.
         spec = FleetVariationSpec(capture_sigma=1.2,
                                   recovery_sigma=0.5,
                                   em_current_sigma=0.4)
