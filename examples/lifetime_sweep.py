@@ -1,10 +1,11 @@
-"""Design-space lifetime sweep over the process pool.
+"""Design-space lifetime sweep.
 
-Fans a scheduling-policy x workload x chip grid through
-:func:`repro.system.sweeps.run_lifetime_sweep`: every cell runs a
-fresh :class:`~repro.system.simulator.SystemSimulator` in its own
-process (deterministically seeded, so serial and pooled runs are
-identical) and comes back as one row of a
+Runs a scheduling-policy x workload x chip grid through
+:func:`repro.system.sweeps.run_lifetime_sweep`: the grid advances on
+the fleet engine, one stacked fleet per chip design
+(``engine="pooled"`` runs one fresh
+:class:`~repro.system.simulator.SystemSimulator` per cell instead,
+with identical results), and every cell comes back as one row of a
 :class:`~repro.system.sweeps.SweepResult` table.
 
 Prints the full grid -- guardband, permanent Vth, EM failures,

@@ -13,8 +13,9 @@ task) per chip.  This module advances every chip in lockstep instead:
   process-variation scales drawn up front.
 * :class:`FleetSimulator` runs the same epoch loop as
   :class:`~repro.system.simulator.SystemSimulator`, but evaluates the
-  BTI condition kernels and EM rate factors over the whole
-  ``(n_chips, n_cores)`` stack in single ufunc passes.
+  BTI condition kernels once per epoch over the stacked cohort
+  assignments, expands them to the whole ``(n_chips, n_cores)``
+  stack, and advances BTI and EM over it in single ufunc passes.
 * :class:`FleetGroup` generalizes the engine beyond "one workload, one
   policy": a population is a sequence of groups, each with its own
   workload, scheduling policy, and optional per-chip *workload phase*
@@ -487,12 +488,11 @@ class _EpochConditions:
     own hottest core).
     """
 
-    __slots__ = ("temps", "stressing", "capture_safe", "recovery",
-                 "j_flat", "temps_flat", "cohort_temps", "token")
+    __slots__ = ("stressing", "capture_safe", "recovery", "j_flat",
+                 "temps_flat", "cohort_temps", "token")
 
-    def __init__(self, temps, stressing, capture_safe, recovery,
-                 j_flat, temps_flat, cohort_temps, token):
-        self.temps = temps
+    def __init__(self, stressing, capture_safe, recovery, j_flat,
+                 temps_flat, cohort_temps, token):
         self.stressing = stressing
         self.capture_safe = capture_safe
         self.recovery = recovery
@@ -687,37 +687,29 @@ class FleetSimulator:
     def _build_group_conditions(self, keyed, token) -> _EpochConditions:
         """Assemble one full-stack bundle from per-cohort assignments.
 
-        Element ``(k, c)`` of every array is ``base[c] * scale[k]``
-        with the cohort's own base conditions -- the same single
-        multiply the scalar simulator applies, so each row matches
-        its standalone chip bitwise.
+        The cohorts' base conditions are evaluated once, stacked
+        ``(n_cohorts, n_cores)`` (the thermal solves stay per cohort,
+        in cohort order), and expanded to the chip rows by one gather
+        on each chip's cohort index.  Element ``(k, c)`` of every
+        array is then ``base[cohort(k), c] * scale[k]`` -- the same
+        single multiply the scalar simulator applies, so each row
+        matches its standalone chip bitwise.
         """
         v = self.variation
-        n_chips, n_cores = self.state.n_chips, self.state.n_cores
-        shape = (n_chips, n_cores)
-        capture_safe = np.empty(shape)
-        recovery2d = np.empty(shape)
-        j2d = np.empty(shape)
-        stressing = np.empty(shape, dtype=bool)
-        temps_full = np.empty(shape)
-        cohort_temps = []
-        for start, stop, assignment in keyed:
-            temps, active, capture, recovery, j = \
-                base_epoch_conditions(self.chip, self.kernels,
-                                      assignment)
-            rows = slice(start, stop)
-            capture2d = capture[None, :] * v.capture_scale[rows, None]
-            capture_safe[rows] = np.where(
-                capture2d > 0.0, capture2d, 1.0)
-            recovery2d[rows] = (recovery[None, :]
-                                * v.recovery_scale[rows, None])
-            j2d[rows] = j[None, :] * v.em_current_scale[rows, None]
-            stressing[rows] = active[None, :]
-            temps_full[rows] = temps[None, :]
-            cohort_temps.append((start, stop, temps))
+        temps, active, capture, recovery, j = base_epoch_conditions(
+            self.chip, self.kernels,
+            [assignment for _, _, assignment in keyed])
+        cohort_of = np.repeat(np.arange(len(keyed)),
+                              [stop - start for start, stop, _ in keyed])
+        capture2d = capture[cohort_of] * v.capture_scale[:, None]
         return _EpochConditions(
-            cohort_temps[-1][2], stressing, capture_safe, recovery2d,
-            j2d.reshape(-1), temps_full.reshape(-1), cohort_temps,
+            active[cohort_of],
+            np.where(capture2d > 0.0, capture2d, 1.0),
+            recovery[cohort_of] * v.recovery_scale[:, None],
+            (j[cohort_of] * v.em_current_scale[:, None]).reshape(-1),
+            temps[cohort_of].reshape(-1),
+            [(start, stop, temps[index])
+             for index, (start, stop, _) in enumerate(keyed)],
             token)
 
     # -- epoch loops -------------------------------------------------------

@@ -26,7 +26,7 @@ vector (:meth:`~repro.thermal.network.ThermalRCNetwork
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Protocol
+from typing import List, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -72,8 +72,9 @@ class ChipVariation:
                 raise SimulationError(f"{name} must be positive")
 
 
-def base_epoch_conditions(chip: Chip, kernels: BtiConditionKernels,
-                          assignment: CoreAssignment):
+def base_epoch_conditions(
+        chip: Chip, kernels: BtiConditionKernels,
+        assignment: Union[CoreAssignment, Sequence[CoreAssignment]]):
     """Variation-independent per-core conditions of one assignment.
 
     The shared heart of the scalar and fleet epoch loops: power
@@ -83,19 +84,37 @@ def base_epoch_conditions(chip: Chip, kernels: BtiConditionKernels,
     these arrays, so a fleet chip and a standalone simulator with the
     same :class:`ChipVariation` see bit-identical conditions.
 
+    ``assignment`` may also be a sequence of assignments (one per
+    fleet cohort).  Every returned array then gains a leading cohort
+    axis: powers, kernel lookups and grid currents are evaluated once
+    on the stacked ``(n_assignments, n_cores)`` arrays, while the
+    thermal network solves each row in order (memoized), so it ends
+    on the last row's solve.  Every step is elementwise, so row ``i``
+    is bitwise what ``assignment[i]`` alone gives.
+
     Returns:
         ``(temps, active, capture, recovery, j)`` -- per-core
         temperatures (K), stressing mask, unscaled capture and
         recovery accelerations, and signed grid current density.
     """
     core = chip.core
-    utilization = assignment.utilization
-    recovering = assignment.bti_recovering
+    if isinstance(assignment, CoreAssignment):
+        utilization = assignment.utilization
+        recovering = assignment.bti_recovering
+        em_recovering = assignment.em_recovering
+    else:
+        utilization = np.stack([a.utilization for a in assignment])
+        recovering = np.stack([a.bti_recovering for a in assignment])
+        em_recovering = np.stack([a.em_recovering for a in assignment])
     powers = np.where(
         recovering, core.recovery_power_w,
         core.idle_power_w + utilization
         * (core.active_power_w - core.idle_power_w))
-    temps = chip.thermal.steady_state_cached(powers)
+    if powers.ndim == 1:
+        temps = chip.thermal.steady_state_cached(powers)
+    else:
+        temps = np.stack([chip.thermal.steady_state_cached(row)
+                          for row in powers])
     capture = kernels.capture_acceleration_array(temps, utilization)
     # Cores that are "stressing" but idle (zero utilization)
     # accumulate nothing and recover passively; model that by
@@ -103,7 +122,7 @@ def base_epoch_conditions(chip: Chip, kernels: BtiConditionKernels,
     active = ~recovering & (utilization > 0.0)
     recovery = kernels.recovery_acceleration_array(temps, recovering)
     j = core.grid_current_density_a_m2 * utilization
-    j = np.where(assignment.em_recovering, -j, j)
+    j = np.where(em_recovering, -j, j)
     return temps, active, capture, recovery, j
 
 

@@ -1,29 +1,30 @@
-"""Policy x workload x chip lifetime sweeps over the process pool.
+"""Policy x workload x chip lifetime sweeps.
 
 The Fig. 12(b) experiments compare a handful of scheduling policies on
 one chip; design-space work multiplies that by workload mixes and chip
-configurations.  :func:`run_lifetime_sweep` fans the full Cartesian
-grid out through :func:`repro.solvers.sweep.run_sweep`, so every cell
-runs a fresh :class:`~repro.system.simulator.SystemSimulator` in its
-own process with deterministic per-cell seeding, and the results come
-back as a structured :class:`SweepResult` table (guardband, permanent
-Vth, EM failures, migration overhead per cell).
+configurations.  :func:`run_lifetime_sweep` simulates the full
+Cartesian grid with deterministic per-cell seeding and returns a
+structured :class:`SweepResult` table (guardband, permanent Vth, EM
+failures, migration overhead per cell).
 
-Cells are independent by construction: the worker deep-copies stateful
+Such a grid is the heterogeneous-population shape the
+structure-of-arrays fleet engine batches.  ``engine="auto"`` (the
+default) runs one fleet per distinct chip design, advanced in stacked
+tensor sweeps: one :class:`~repro.system.fleet.FleetGroup` per
+(policy, workload) pair with one chip per cell, or one single-chip
+group per cell when the cell's workload is reseeded.  Results are
+identical to the per-cell path because the cohort policy observable
+degenerates to the cell's own aging state when the cohort's chips
+are identical.
+
+The per-cell path (``engine="pooled"``, and grids that set pool
+fault-tolerance knobs) fans the cells out through
+:func:`repro.solvers.sweep.run_sweep`, one fresh
+:class:`~repro.system.simulator.SystemSimulator` per cell.  Cells are
+independent by construction: the worker deep-copies stateful
 policies/workloads (or builds them fresh from factories) and builds
 the chip inside the worker, so no mutable state crosses cell
 boundaries and serial and pooled runs are identical.
-
-When every cell shares one chip design, the grid is exactly the
-heterogeneous-population shape the structure-of-arrays fleet engine
-batches: one :class:`~repro.system.fleet.FleetGroup` per
-(policy, workload) pair, one chip per cell, advanced in stacked tensor
-sweeps instead of one Python simulator per cell.  ``engine="auto"``
-(the default) routes such grids to the fleet engine and keeps
-genuinely heterogeneous grids (mixed chip designs, per-cell workload
-reseeding, pool fault-tolerance knobs) on the pooled path; results are
-identical either way because the per-cell policy observable degenerates
-to the cell's own aging state when the cohort's chips are identical.
 """
 
 from __future__ import annotations
@@ -46,7 +47,13 @@ import numpy as np
 
 from repro import units
 from repro.errors import SimulationError
-from repro.solvers.sweep import SweepReport, run_sweep
+from repro.solvers.sweep import (
+    ChunkRecord,
+    SweepReport,
+    _merge_cache_deltas,
+    run_sweep,
+    task_seed_sequence,
+)
 from repro.system.chip import Chip, CoreSpec
 from repro.system.simulator import SystemSimulator
 from repro.thermal.network import ThermalNetworkConfig
@@ -232,6 +239,17 @@ def _cell_summary(policy_label: str, workload_label: str,
         lost_demand_fraction=result.lost_demand_fraction)
 
 
+def _design_key(config: ChipConfig) -> tuple:
+    """What makes two chip configurations one design (labels aside)."""
+    return (config.rows, config.cols, config.core, config.thermal)
+
+
+def _has_seed_field(workload) -> bool:
+    """Whether a seeded sweep reseeds ``workload`` in every cell."""
+    return dataclasses.is_dataclass(workload) and hasattr(workload,
+                                                          "seed")
+
+
 def _run_cell(cell: _SweepCell,
               seed_sequence: Optional[np.random.SeedSequence] = None
               ) -> SweepCellResult:
@@ -245,8 +263,7 @@ def _run_cell(cell: _SweepCell,
     else:
         policy = copy.deepcopy(policy)
     workload = copy.deepcopy(cell.workload)
-    if (seed_sequence is not None and dataclasses.is_dataclass(workload)
-            and hasattr(workload, "seed")):
+    if seed_sequence is not None and _has_seed_field(workload):
         workload = dataclasses.replace(
             workload, seed=int(seed_sequence.generate_state(1)[0]))
     simulator = SystemSimulator(chip, epoch_s=cell.epoch_s)
@@ -257,34 +274,23 @@ def _run_cell(cell: _SweepCell,
 
 
 def _fleet_incompatibility(chip_configs: Sequence[ChipConfig],
-                           workload_pairs: Sequence[Tuple[str, Any]],
-                           seed: Optional[int],
+                           wants_checkpoint: bool,
                            min_tasks_for_pool: Optional[int],
                            on_error: str, retries: int,
                            progress) -> Optional[str]:
     """Why this grid cannot run on the fleet engine (None if it can).
 
-    Three things force the pooled path: distinct chip designs (the
-    fleet stacks one design), per-cell workload reseeding (the pool
-    reseeds from its own per-task streams, which the fleet cannot
-    reproduce chip by chip), and any pool fault-tolerance or
-    scheduling knob (the fleet is one in-process advance -- there is
-    no per-cell pool to configure).  ``on_report`` is *not* a pool
-    knob (the fleet path synthesizes its own report), and neither is
-    ``max_workers``: the fleet engine has its own parallel chunk
-    executor, so worker counts forward to it.
+    Two things force the pooled path: any pool fault-tolerance or
+    scheduling knob (the fleet runs no per-cell pool to configure),
+    and checkpointing a grid of several chip designs (each design is
+    its own fleet, and a checkpoint directory holds one study).
+    Mixed designs and per-cell workload reseeding run on the fleet:
+    one fleet per design, and one single-chip group per reseeded
+    cell.  ``on_report`` is *not* a pool knob (the fleet path
+    synthesizes its own report), and neither is ``max_workers``: the
+    fleet engine has its own parallel chunk executor, so worker
+    counts forward to it.
     """
-    first = chip_configs[0]
-    for config in chip_configs[1:]:
-        if (config.rows, config.cols, config.core, config.thermal) \
-                != (first.rows, first.cols, first.core, first.thermal):
-            return "chip grid mixes distinct chip designs"
-    if seed is not None:
-        for label, workload in workload_pairs:
-            if dataclasses.is_dataclass(workload) \
-                    and hasattr(workload, "seed"):
-                return (f"workload {label!r} carries a seed field and "
-                        "would be reseeded per cell")
     knobs = [name for name, off in (
         ("min_tasks_for_pool", min_tasks_for_pool is None),
         ("on_error", on_error == "raise"),
@@ -292,62 +298,132 @@ def _fleet_incompatibility(chip_configs: Sequence[ChipConfig],
         ("progress", progress is None)) if not off]
     if knobs:
         return "pool knobs set: " + ", ".join(knobs)
+    if wants_checkpoint and len(
+            {_design_key(config) for config in chip_configs}) > 1:
+        return ("checkpointing a grid that mixes distinct chip "
+                "designs (one fleet per design)")
     return None
 
 
+#: Fleet report modes, least to most eventful; a grid of several
+#: designs reports the most eventful mode of its fleets.
+_FLEET_MODES = ("fleet", "fleet+pool", "fleet+pool+serial-fallback",
+                "fleet+failed")
+
+
+def _merge_reports(reports: Sequence[SweepReport],
+                   n_cells: int) -> SweepReport:
+    """One grid report from the per-design fleet reports.
+
+    Counters and retries sum, chunk records are renumbered
+    back-to-back in design order, and ``n_tasks`` is the grid's
+    cell count.
+    """
+    counters: Dict[str, Dict[str, int]] = {}
+    chunks: List[ChunkRecord] = []
+    for report in reports:
+        _merge_cache_deltas(counters, report.cache_counters)
+        offset = len(chunks)
+        chunks.extend(dataclasses.replace(
+            record, index=record.index + offset,
+            start=record.start + offset, stop=record.stop + offset)
+            for record in report.chunks)
+    reasons = sorted({report.serial_reason for report in reports
+                      if report.serial_reason})
+    return SweepReport(
+        n_tasks=n_cells, n_chunks=len(chunks),
+        max_workers=max(report.max_workers for report in reports),
+        mode=max((report.mode for report in reports),
+                 key=_FLEET_MODES.index),
+        serial_reason="; ".join(reasons) or None,
+        fallback_reasons=tuple(reason for report in reports
+                               for reason in report.fallback_reasons),
+        wall_time_s=sum(report.wall_time_s for report in reports),
+        chunks=tuple(chunks),
+        retries=sum(report.retries for report in reports),
+        failures=tuple(failure for report in reports
+                       for failure in report.failures),
+        cache_counters=counters)
+
+
 def _run_fleet_grid(cells: Sequence[_SweepCell],
-                    chip_configs: Sequence[ChipConfig],
-                    policy_pairs: Sequence[Tuple[str, Any]],
-                    workload_pairs: Sequence[Tuple[str, Any]],
-                    n_epochs: int, epoch_s: float, record_every: int,
-                    max_workers: Optional[int],
+                    seed: Optional[int], max_workers: Optional[int],
                     on_report, checkpoint_every: Optional[int] = None,
                     checkpoint_dir=None
                     ) -> Tuple[SweepCellResult, ...]:
-    """Evaluate the whole grid as one stacked fleet advance.
+    """Evaluate the grid as one stacked fleet advance per chip design.
 
-    Cells are policy-major, then workload, then chip -- exactly one
-    :class:`~repro.system.fleet.FleetGroup` per (policy, workload)
-    pair with one fleet chip per grid chip, laid out back-to-back in
-    cell order.  The chips of a group are identical (no variation),
-    so each cohort's policy observable equals every member cell's own
-    observable and the per-cell results match the pooled path
-    bit for bit.
+    Each distinct design runs one fleet over its cells, in cell
+    order.  Cells of one (policy, workload) pair with a workload the
+    sweep does not reseed share one
+    :class:`~repro.system.fleet.FleetGroup`, one fleet chip per cell:
+    the chips of such a group are identical (no variation), so the
+    cohort's policy observable equals every member cell's own and
+    the per-cell results match the pooled path bit for bit.  A
+    reseeded workload gets one single-chip group per cell, carrying
+    the workload reseeded from ``task_seed_sequence(seed,
+    cell_index)`` -- the stream the pooled path hands that cell.
 
     ``max_workers`` forwards to the fleet engine's parallel chunk
-    executor: with more than one worker the stacked rows split into
-    one whole-lifetime chunk per worker (results are invariant in
-    the chunk size, so this is purely a scheduling decision, and the
-    engine's work-aware serial gate still keeps small grids in one
-    in-process advance).
+    executor: with more than one worker each design's stacked rows
+    split into one whole-lifetime chunk per worker (results are
+    invariant in the chunk size, so this is purely a scheduling
+    decision, and the engine's work-aware serial gate still keeps
+    small grids in one in-process advance).
     """
     from repro.system.fleet import FleetGroup, run_fleet_lifetime_study
-    groups = tuple(
-        FleetGroup(n_chips=len(chip_configs), workload=workload,
-                   policy=policy, name=f"{policy_label}/{workload_label}")
-        for policy_label, policy in policy_pairs
-        for workload_label, workload in workload_pairs)
-    max_chunk_chips = None
-    if max_workers is not None and max_workers > 1:
-        max_chunk_chips = max(1, -(-len(cells) // max_workers))
+    designs: Dict[tuple, List[int]] = {}
+    for index, cell in enumerate(cells):
+        designs.setdefault(_design_key(cell.chip), []).append(index)
+    results: List[Optional[SweepCellResult]] = [None] * len(cells)
     captured: List[SweepReport] = []
-    fleet = run_fleet_lifetime_study(
-        chip_configs[0], groups=groups, n_epochs=n_epochs,
-        epoch_s=epoch_s, record_every=record_every,
-        max_chunk_chips=max_chunk_chips, max_workers=max_workers,
-        on_report=captured.append if on_report is not None else None,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir)
-    results = tuple(
-        _cell_summary(cell.policy_label, cell.workload_label,
-                      cell.chip_label, fleet.chip_result(index))
-        for index, cell in enumerate(cells))
-    if on_report is not None:
-        # The fleet report counts chunks as its tasks; grid callers
-        # read n_tasks as the cell count, so restate it.
-        on_report(dataclasses.replace(captured[0],
-                                      n_tasks=len(cells)))
-    return results
+    try:
+        for members in designs.values():
+            groups: List[FleetGroup] = []
+            shared = None  # (policy, workload) labels of groups[-1]
+            for index in members:
+                cell = cells[index]
+                labels = (cell.policy_label, cell.workload_label)
+                workload = cell.workload
+                if seed is not None and _has_seed_field(workload):
+                    stream = task_seed_sequence(seed, index)
+                    workload = dataclasses.replace(
+                        workload,
+                        seed=int(stream.generate_state(1)[0]))
+                    shared = None
+                elif labels == shared:
+                    groups[-1] = dataclasses.replace(
+                        groups[-1], n_chips=groups[-1].n_chips + 1)
+                    continue
+                else:
+                    shared = labels
+                groups.append(FleetGroup(
+                    n_chips=1, workload=workload, policy=cell.policy,
+                    name="/".join(labels)))
+            max_chunk_chips = None
+            if max_workers is not None and max_workers > 1:
+                max_chunk_chips = max(1, -(-len(members) // max_workers))
+            first = cells[members[0]]
+            fleet = run_fleet_lifetime_study(
+                first.chip, groups=groups, n_epochs=first.n_epochs,
+                epoch_s=first.epoch_s, record_every=first.record_every,
+                max_chunk_chips=max_chunk_chips,
+                max_workers=max_workers,
+                on_report=captured.append if on_report is not None
+                else None,
+                checkpoint_every=checkpoint_every,
+                checkpoint_dir=checkpoint_dir)
+            for chip_index, index in enumerate(members):
+                cell = cells[index]
+                results[index] = _cell_summary(
+                    cell.policy_label, cell.workload_label,
+                    cell.chip_label, fleet.chip_result(chip_index))
+    finally:
+        if captured:
+            # The fleet reports count chunks as their tasks; grid
+            # callers read n_tasks as the cell count, so restate it.
+            on_report(_merge_reports(captured, len(cells)))
+    return tuple(results)
 
 
 #: Below this many simulated core-epochs (summed over every cell of
@@ -406,19 +482,22 @@ def run_lifetime_sweep(
         seed: root seed of the per-cell workload reseeding; ``None``
             runs every cell with the workloads' own seeds.
         engine: ``"auto"`` (default) runs the grid on the
-            structure-of-arrays fleet engine whenever every cell
-            shares one chip design, no workload is reseeded per cell
-            and no per-cell pool knob is set, falling back to the
-            pooled path otherwise; ``"fleet"`` forces the fleet
-            engine (raising :class:`~repro.errors.SimulationError`
-            with the blocking reason when the grid is incompatible);
-            ``"pooled"`` forces the per-cell path.  Results are
-            identical either way; the fleet path reports
-            ``mode="fleet"`` (or ``"fleet+pool"`` when its chunks
-            pooled) on its ``on_report``
-            :class:`~repro.solvers.SweepReport`, with the fleet
-            engine's chip/cohort/kernel-dedup counters in
-            ``cache_counters``.
+            structure-of-arrays fleet engine -- one fleet per
+            distinct chip design, with one single-chip group per
+            cell whose workload is reseeded -- unless a per-cell
+            pool knob is set or a mixed-design grid asks for
+            checkpointing, which fall back to the pooled path;
+            ``"fleet"`` forces the fleet engine (raising
+            :class:`~repro.errors.SimulationError` with the blocking
+            reason when the grid is incompatible); ``"pooled"``
+            forces the per-cell path, one independent
+            :class:`SystemSimulator` per cell.  Results are
+            identical either way; the fleet path delivers one
+            :class:`~repro.solvers.SweepReport` per grid on
+            ``on_report`` (``mode="fleet"``, or ``"fleet+pool"``
+            when chunks pooled; ``n_tasks`` is the cell count), with
+            the fleet engines' chip/cohort/kernel-dedup counters
+            summed over designs in ``cache_counters``.
         max_workers: process count.  On the pooled path it is
             forwarded to :func:`repro.solvers.sweep.run_sweep`; on
             the fleet path it forwards to the fleet engine's
@@ -501,13 +580,12 @@ def run_lifetime_sweep(
             "(drop engine='pooled')")
     if engine != "pooled":
         reason = _fleet_incompatibility(
-            chip_configs, workload_pairs, seed,
-            min_tasks_for_pool, on_error, retries, progress)
+            chip_configs, wants_checkpoint, min_tasks_for_pool,
+            on_error, retries, progress)
         if reason is None:
             survivors = _run_fleet_grid(
-                cells, chip_configs, policy_pairs, workload_pairs,
-                n_epochs, epoch_s, record_every, max_workers,
-                on_report, checkpoint_every=checkpoint_every,
+                cells, seed, max_workers, on_report,
+                checkpoint_every=checkpoint_every,
                 checkpoint_dir=checkpoint_dir)
             return SweepResult(cells=survivors, n_epochs=n_epochs,
                                epoch_s=epoch_s)

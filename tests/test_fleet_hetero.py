@@ -354,25 +354,54 @@ class TestSweepEngineRouting:
         for a, b in zip(workers.cells, baseline.cells):
             assert a == b
 
-    def test_mixed_chip_designs_force_pooled_path(self):
-        policies, workloads, _ = self.grid()
-        with pytest.raises(SimulationError):
-            run_lifetime_sweep(policies, workloads, [(2, 2), (2, 3)],
-                               n_epochs=self.N_SWEEP_EPOCHS,
-                               engine="fleet")
+    @staticmethod
+    def assert_routes_agree(policies, workloads, chips, **kwargs):
+        """auto and fleet run the grid on the fleet, equal to pooled."""
         reports = []
-        run_lifetime_sweep(policies, workloads, [(2, 2), (2, 3)],
-                           n_epochs=self.N_SWEEP_EPOCHS,
-                           on_report=reports.append)
-        assert reports[0].mode != "fleet"
+        auto = run_lifetime_sweep(policies, workloads, chips,
+                                  on_report=reports.append, **kwargs)
+        fleet = run_lifetime_sweep(policies, workloads, chips,
+                                   engine="fleet", **kwargs)
+        pooled = run_lifetime_sweep(policies, workloads, chips,
+                                    engine="pooled", **kwargs)
+        assert len(reports) == 1
+        assert reports[0].mode == "fleet"
+        assert reports[0].n_tasks == len(pooled.cells)
+        assert reports[0].cache_counters["fleet.engine"]["chips"] \
+            == len(pooled.cells)
+        assert auto.cells == fleet.cells == pooled.cells
+        return auto
 
-    def test_seeded_workloads_force_pooled_path(self):
-        policies = {"none": NoRecoveryPolicy()}
-        workloads = {"random": RandomWorkload(n_cores=N_CORES)}
-        with pytest.raises(SimulationError):
-            run_lifetime_sweep(policies, workloads, [(2, 2)],
-                               n_epochs=self.N_SWEEP_EPOCHS,
-                               engine="fleet", seed=7)
+    def test_mixed_chip_designs_run_on_fleet(self):
+        policies, workloads, _ = self.grid()
+        chips = [ChipConfig(2, 2, name="unit a"), ChipConfig(2, 3),
+                 ChipConfig(2, 2, name="unit b")]
+        result = self.assert_routes_agree(
+            policies, workloads, chips, n_epochs=self.N_SWEEP_EPOCHS)
+        # Policy-major, then workload, then chip -- the grid order.
+        assert [(cell.policy, cell.workload, cell.chip)
+                for cell in result.cells[:3]] \
+            == [("rr", "flat", "unit a"), ("rr", "flat", "2x3"),
+                ("rr", "flat", "unit b")]
+
+    def test_seeded_workloads_run_on_fleet(self):
+        policies = {"none": NoRecoveryPolicy(),
+                    "rr": RoundRobinRecoveryPolicy(recovery_slots=1)}
+        workloads = {"random": RandomWorkload(n_cores=N_CORES),
+                     "flat": ConstantWorkload(n_cores=N_CORES)}
+        chips = [ChipConfig(2, 2, name="unit a"),
+                 ChipConfig(2, 2, name="unit b")]
+        result = self.assert_routes_agree(
+            policies, workloads, chips, n_epochs=self.N_SWEEP_EPOCHS,
+            seed=7)
+        # Each cell draws its own stream: the two identical chips of
+        # a random cell pair diverge, those of a flat pair do not.
+        random_a = result.cell("none", "random", "unit a")
+        random_b = result.cell("none", "random", "unit b")
+        assert random_a.guardband != random_b.guardband
+        flat_a = result.cell("none", "flat", "unit a")
+        flat_b = result.cell("none", "flat", "unit b")
+        assert flat_a.guardband == flat_b.guardband
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(SimulationError):

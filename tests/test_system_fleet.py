@@ -42,10 +42,15 @@ from repro.system.fleet import (
     run_fleet_lifetime_study,
 )
 from repro.system.scheduler import (
+    CoreAssignment,
     NoRecoveryPolicy,
     RoundRobinRecoveryPolicy,
 )
-from repro.system.simulator import ChipVariation, SystemSimulator
+from repro.system.simulator import (
+    ChipVariation,
+    SystemSimulator,
+    base_epoch_conditions,
+)
 from repro.system.sweeps import ChipConfig, run_lifetime_sweep
 from repro.system.workload import ConstantWorkload
 
@@ -259,6 +264,90 @@ class TestHomogeneousFleet:
             assert abs(cell.final_delta_vth_v
                        - fleet.final_delta_vth_v[index].max()) \
                 <= RESULT_TOLERANCE
+
+
+def _same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes (``-0.0`` differs from ``0.0``)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.ascontiguousarray(a).tobytes()
+            == np.ascontiguousarray(b).tobytes())
+
+
+class TestCohortBatchedConditions:
+    """The fleet builds every cohort's conditions in one stacked pass.
+
+    The reference is :func:`base_epoch_conditions` called once per
+    cohort on a separate chip of the same design, with the variation
+    scales applied per chip row.
+    """
+
+    N_CHIPS = 9
+
+    @staticmethod
+    def assignment(rng, n_cores):
+        """A random assignment: idle, loaded, healing and EM-reversed
+        cores, with utilization zeroed where a core heals."""
+        healing = rng.random(n_cores) < 0.3
+        utilization = np.where(
+            healing | (rng.random(n_cores) < 0.2), 0.0,
+            rng.random(n_cores))
+        return CoreAssignment(
+            utilization=utilization, bti_recovering=healing,
+            em_recovering=~healing & (rng.random(n_cores) < 0.5))
+
+    @pytest.mark.parametrize("bounds", [
+        (0, 9),
+        (0, 2, 3, 7, 9),
+        tuple(range(10)),
+    ])
+    def test_rows_match_per_cohort_build(self, bounds):
+        rng = np.random.default_rng(len(bounds))
+        simulator = FleetSimulator(
+            Chip(2, 3), self.N_CHIPS,
+            variation=FleetVariationSpec(capture_sigma=0.2,
+                                         recovery_sigma=0.2,
+                                         em_current_sigma=0.2),
+            seed=5)
+        n_cores = simulator.chip.n_cores
+        assignments = [self.assignment(rng, n_cores)
+                       for _ in range(len(bounds) - 1)]
+        if len(assignments) > 2:
+            # A repeated assignment hits the thermal memo mid-build.
+            assignments[2] = assignments[0]
+        keyed = [(start, stop, assignment) for start, stop, assignment
+                 in zip(bounds[:-1], bounds[1:], assignments)]
+        cond = simulator._build_group_conditions(keyed, "token")
+
+        reference = Chip(2, 3)
+        v = simulator.variation
+        temps = None
+        for index, (start, stop, assignment) in enumerate(keyed):
+            temps, active, capture, recovery, j = base_epoch_conditions(
+                reference, simulator.kernels, assignment)
+            rows = slice(start, stop)
+            capture2d = capture[None, :] * v.capture_scale[rows, None]
+            flat = slice(start * n_cores, stop * n_cores)
+            assert _same_bits(cond.capture_safe[rows],
+                              np.where(capture2d > 0.0, capture2d, 1.0))
+            assert _same_bits(cond.recovery[rows],
+                              recovery[None, :]
+                              * v.recovery_scale[rows, None])
+            assert _same_bits(cond.j_flat[flat],
+                              (j[None, :] * v.em_current_scale[
+                                  rows, None]).reshape(-1))
+            assert _same_bits(cond.stressing[rows],
+                              np.broadcast_to(active,
+                                              (stop - start, n_cores)))
+            assert _same_bits(cond.temps_flat[flat],
+                              np.tile(temps, stop - start))
+            assert cond.cohort_temps[index][:2] == (start, stop)
+            assert _same_bits(cond.cohort_temps[index][2], temps)
+        # The shared network ends on the last cohort's solve.
+        assert _same_bits(simulator.chip.thermal.temperatures_k, temps)
+        assert _same_bits(simulator.chip.thermal.temperatures_k,
+                          reference.thermal.temperatures_k)
+        assert cond.token == "token"
 
 
 class TestVariationDraws:
