@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro.solvers import cache_counters
+from repro.system import checkpoint as checkpoint_module
 from repro.system.fleet import (
     FleetSimulator,
     FleetVariationSpec,
@@ -402,34 +403,35 @@ CHECKPOINT_OVERHEAD_TARGET = 0.05
 CHECKPOINT_OVERHEAD_CEILING = 0.50
 
 
-def test_checkpointed_fleet_65k_chips_overhead(benchmark, tmp_path):
-    """Record the durable-snapshot overhead of the 65k-chip chunked
-    run at ``checkpoint_every=8``, against the 5% target.
+def _checkpoint_overhead(tmp_path, monkeypatch, n_chips, variation):
+    """Plain vs checkpointed timings of one serial chunked study.
 
-    Same serial chunk stream as ``test_chunked_fleet_65k_chips`` but
-    16 epochs, so every chunk persists one mid-lifetime progress
-    snapshot (epoch 8) plus its result file -- roughly 28 KiB/chip of
-    trap state hashed and written per save.  This workload is the
-    checkpointer's worst case: a constant-utilization epoch is a
-    single ufunc pass over the same bytes a snapshot must hash+write,
-    so the ratio bottoms out near ``save_cost / (every * epoch_cost)``
-    with nothing to amortise -- heavier epochs (kernel recomputation,
-    many cohorts) shrink it toward zero.  The entry records the
-    measured overhead next to the 5% target
-    (``overhead_within_target``); the hard assertion is a generous
-    ceiling so a loaded runner reports an honest number instead of
-    flaking, plus bitwise equality of the checkpointed, plain, and
-    resumed-from-cache populations.
+    Returns ``(plain_s, ckpt_s, extra)``: the best of two interleaved
+    reps of each side, and the entry fields -- the replay time of a
+    completed directory and the bytes written (progress snapshots as
+    each save lands, chunk results left on disk).  Asserts the
+    checkpointed and replayed populations equal the plain one
+    bitwise.
     """
-    n_chips = 65_536
     n_epochs = 16
     every = 8
     budget = 256 * 1024 * 1024
+    progress_bytes = []
+    real_save = checkpoint_module.save_chunk_progress
+
+    def save_and_measure(ckpt, index, run):
+        real_save(ckpt, index, run)
+        progress_bytes.append(os.path.getsize(
+            checkpoint_module._progress_path(ckpt, index)))
+
+    monkeypatch.setattr(checkpoint_module, "save_chunk_progress",
+                        save_and_measure)
 
     def run(checkpoint_dir=None):
         return run_fleet_lifetime_study(
             (3, 3), n_chips, _workload(), _policy(),
             n_epochs=n_epochs, record_every=n_epochs,
+            variation=variation, seed=7,
             state_budget_bytes=budget, max_workers=1,
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=every if checkpoint_dir else None)
@@ -443,6 +445,7 @@ def test_checkpointed_fleet_65k_chips_overhead(benchmark, tmp_path):
         t, plain = best_of(run, reps=1)
         plain_s = min(plain_s, t)
         directory = tmp_path / f"ckpt-{rep}"
+        progress_bytes.clear()
         t, checkpointed = best_of(lambda: run(directory), reps=1)
         ckpt_s = min(ckpt_s, t)
     # Replaying a completed directory restores every chunk from its
@@ -458,24 +461,72 @@ def test_checkpointed_fleet_65k_chips_overhead(benchmark, tmp_path):
                               result.final_em_drift_ohm)
 
     overhead = ckpt_s / plain_s - 1.0
-    snapshot_bytes = sum(
+    result_bytes = sum(
         entry.stat().st_size for entry in directory.iterdir()
         if entry.suffix == ".npz")
-    entry = record(
-        "checkpointed_fleet_65536_chips", plain_s, ckpt_s,
+    extra = dict(
         n_chips=n_chips, n_cores=N_CORES, n_epochs=n_epochs,
         checkpoint_every=every, state_budget_bytes=budget,
         checkpoint_overhead=overhead,
         target_overhead=CHECKPOINT_OVERHEAD_TARGET,
         overhead_within_target=overhead < CHECKPOINT_OVERHEAD_TARGET,
         resume_from_cache_s=resume_s,
-        snapshot_bytes_on_disk=snapshot_bytes,
+        snapshot_bytes_on_disk=result_bytes,
+        progress_snapshots=len(progress_bytes),
+        progress_snapshot_bytes=sum(progress_bytes),
+        progress_bytes_per_chip=sum(progress_bytes) / n_chips,
         state_bytes_per_chip=state_bytes_per_chip(N_CORES))
+    return plain_s, ckpt_s, extra
+
+
+def test_checkpointed_fleet_65k_chips_overhead(benchmark, tmp_path,
+                                               monkeypatch):
+    """Record the durable-snapshot overhead of the 65k-chip chunked
+    run at ``checkpoint_every=8``, against the 5% target.
+
+    Same serial chunk stream as ``test_chunked_fleet_65k_chips`` but
+    16 epochs, so every chunk persists one mid-lifetime progress
+    snapshot (epoch 8) plus its result file.  The fleet is identical,
+    so a progress snapshot stores each run of bitwise-equal chips once
+    (the chip-major state arrays are row-packed): a save writes a few
+    chips' trap state plus the per-chip records, well under 1 KiB per
+    chip (``progress_bytes_per_chip``) against the ~28 KiB/chip of
+    live state.  The entry records the measured overhead next to the
+    5% target (``overhead_within_target``); the hard assertion is a
+    generous ceiling so a loaded runner reports an honest number
+    instead of flaking, plus bitwise equality of the checkpointed,
+    plain, and resumed-from-cache populations.
+    """
+    n_chips = 65_536
+    plain_s, ckpt_s, extra = _checkpoint_overhead(
+        tmp_path, monkeypatch, n_chips, variation=None)
+    entry = record("checkpointed_fleet_65536_chips", plain_s, ckpt_s,
+                   **extra)
     run_once(benchmark, lambda: run_fleet_lifetime_study(
-        (3, 3), 4096, _workload(), _policy(), n_epochs=n_epochs,
-        record_every=n_epochs, state_budget_bytes=budget,
+        (3, 3), 4096, _workload(), _policy(), n_epochs=16,
+        record_every=16, state_budget_bytes=256 * 1024 * 1024,
         max_workers=1))
     assert entry["checkpoint_overhead"] < CHECKPOINT_OVERHEAD_CEILING
+
+
+def test_checkpointed_varied_fleet_overhead(tmp_path, monkeypatch):
+    """Record-only: the same checkpointed study on a varied fleet.
+
+    Process variation makes every chip's occupancy and age differ
+    from its neighbour's, so row packing keeps nearly every chip and
+    a progress snapshot costs close to the full live state.  This is
+    the checkpointer's hard case, recorded next to the identical
+    fleet's so the easy case cannot hide it; 16384 chips (two chunks)
+    keep the run short, since varied epochs are far slower.
+    """
+    n_chips = 16_384
+    spec = FleetVariationSpec(capture_sigma=0.06,
+                              recovery_sigma=0.08,
+                              em_current_sigma=0.05)
+    plain_s, ckpt_s, extra = _checkpoint_overhead(
+        tmp_path, monkeypatch, n_chips, variation=spec)
+    record("checkpointed_varied_fleet_16384_chips", plain_s, ckpt_s,
+           **extra)
 
 
 def test_parallel_fleet_262k_chips_scaling(benchmark):

@@ -23,6 +23,21 @@ the foundation of the ROADMAP's streaming fleet-reliability service:
   into place, so a SIGKILL mid-write can never leave a corrupt file
   under the final name.
 
+* **Chip-row packing.**  The chip-major state arrays (``bti/weights``,
+  ``bti/occupancy``, ``bti/age_s``, ``bti/permanent_v``,
+  ``em/progress_s``, ``em/nucleated``, ``em/void_reversible_m``,
+  ``em/void_locked_m``) are stored as their distinct chips plus a
+  ``(n_chips,)`` bool mask under ``<name>#repeat``: ``repeat[k]``
+  marks chip ``k`` as bitwise equal to chip ``k - 1`` (raw bits, so
+  ``-0.0`` and ``+0.0`` differ and a NaN matches only its own bits),
+  and the stored array keeps only the chips with ``repeat`` false,
+  in the live layout with fewer leading rows.  An identical fleet's
+  trap state thus shrinks to one chip per run of equal chips; a varied
+  fleet keeps every chip.  The checksum covers the packed bytes.  An
+  entry without its mask is read as the full array, so snapshots
+  written before packing still load; a mask that does not fit its
+  array raises :class:`~repro.errors.CheckpointError`.
+
 * **Checkpointed studies.**  ``run_fleet_lifetime_study(...,
   checkpoint_dir=..., checkpoint_every=...)`` makes every
   whole-lifetime row chunk crash-durable: finished chunks persist
@@ -53,10 +68,12 @@ pure function of the stored aging state.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import pickle
+import types
 import zipfile
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -89,6 +106,7 @@ CHECKPOINT_SCHEMA_VERSION = 1
 _MAGIC = "repro.fleet.checkpoint"
 _STUDY_MAGIC = "repro.fleet.checkpoint-study"
 _PICKLE_PROTOCOL = 4
+_DIGEST_MAGIC = b"repro.fleet.study-digest/canonical-1"
 
 _RUN_KINDS = ("fleet-run", "fleet-session", "fleet-chunk-progress")
 
@@ -232,6 +250,96 @@ class FleetSnapshot:
         return cls(arrays=arrays, meta=meta)
 
 
+# -- chip-row packing -------------------------------------------------------
+
+#: Suffix of the mask entry that marks a packed array's repeated chips.
+_REPEAT_SUFFIX = "#repeat"
+
+#: Words (of the widest unsigned view) compared per block while
+#: packing, so the compare temporaries stay small (~256 KiB).
+_COMPARE_BLOCK_WORDS = 1 << 15
+
+
+def _chip_state(state) -> Dict[str, np.ndarray]:
+    """The live chip-major state arrays a snapshot stores packed."""
+    bti, em = state.bti, state.em
+    return {
+        "bti/weights": bti.weights,
+        "bti/occupancy": bti.occupancy,
+        "bti/age_s": bti.age_s,
+        "bti/permanent_v": bti.permanent_v,
+        "em/progress_s": em.progress_s,
+        "em/nucleated": em.nucleated,
+        "em/void_reversible_m": em.void_reversible_m,
+        "em/void_locked_m": em.void_locked_m,
+    }
+
+
+def _chip_words(chips: np.ndarray) -> np.ndarray:
+    """``(n_chips, k)`` view of each chip's raw bytes as wide uints."""
+    row_bytes = chips.shape[1] * chips.itemsize
+    width = next(w for w in (8, 4, 2, 1) if row_bytes % w == 0)
+    return chips.view(np.dtype(f"u{width}"))
+
+
+def _pack_chip_rows(array: np.ndarray,
+                    n_chips: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Split a chip-major array into its distinct chips and a mask.
+
+    ``array`` holds ``n_chips`` equal-sized chip blocks along axis 0.
+    Returns ``(kept, repeat)``: ``repeat[k]`` is ``True`` when chip
+    ``k``'s bytes equal chip ``k - 1``'s (bitwise, so ``-0.0`` differs
+    from ``+0.0`` and a NaN matches only the same NaN bits), and
+    ``kept`` is a fresh array of the chips with ``repeat`` ``False``,
+    in ``array``'s own layout with fewer leading rows.
+    """
+    chips = array.reshape(n_chips, -1)
+    words = _chip_words(chips)
+    repeat = np.zeros(n_chips, dtype=bool)
+    step = max(1, _COMPARE_BLOCK_WORDS // words.shape[1])
+    for start in range(1, n_chips, step):
+        stop = min(start + step, n_chips)
+        np.all(words[start:stop] == words[start - 1:stop - 1], axis=1,
+               out=repeat[start:stop])
+    kept = chips[~repeat]
+    return kept.reshape((-1,) + array.shape[1:]), repeat
+
+
+def _unpack_chip_rows(destination: np.ndarray, kept: np.ndarray,
+                      repeat: np.ndarray, n_chips: int,
+                      name: str) -> None:
+    """Expand :func:`_pack_chip_rows` output into ``destination``.
+
+    ``destination`` is a C-contiguous chip-major array of ``n_chips``
+    chips, overwritten in place.  A mask that does not fit its array
+    (wrong dtype or length, a first chip marked as a repeat, a kept
+    row count other than the mask's) raises
+    :class:`~repro.errors.CheckpointError`.
+    """
+    mask_name = name + _REPEAT_SUFFIX
+    if repeat.dtype != np.bool_ or repeat.shape != (n_chips,):
+        raise CheckpointError(
+            f"snapshot mask {mask_name!r} has layout "
+            f"{repeat.dtype}{repeat.shape}, run expects "
+            f"bool({n_chips},)")
+    if repeat[0]:
+        raise CheckpointError(
+            f"snapshot mask {mask_name!r} marks chip 0 as a repeat")
+    n_kept = int(np.count_nonzero(~repeat))
+    rows = destination.shape[0] // n_chips
+    expected = (n_kept * rows,) + destination.shape[1:]
+    if kept.dtype != destination.dtype or kept.shape != expected:
+        raise CheckpointError(
+            f"snapshot array {name!r} has layout "
+            f"{kept.dtype}{kept.shape}, its mask expects "
+            f"{destination.dtype}{expected}")
+    chips = destination.reshape(n_chips, -1)
+    # mode="clip" skips numpy's buffered bounds pass; the checks above
+    # already keep every index inside ``kept``.
+    np.take(kept.reshape(n_kept, -1), np.cumsum(~repeat) - 1, axis=0,
+            out=chips, mode="clip")
+
+
 # -- run state <-> snapshot -------------------------------------------------
 
 
@@ -241,16 +349,12 @@ def _snapshot_run(run: _FleetRun) -> FleetSnapshot:
     state = simulator.state
     bti, em, v = state.bti, state.em, state.variation
     n_chips = state.n_chips
-    arrays: Dict[str, np.ndarray] = {
-        "bti/weights": bti.weights.copy(),
-        "bti/occupancy": bti.occupancy.copy(),
-        "bti/age_s": bti.age_s.copy(),
-        "bti/permanent_v": bti.permanent_v.copy(),
+    arrays: Dict[str, np.ndarray] = {}
+    for name, live in _chip_state(state).items():
+        arrays[name], arrays[name + _REPEAT_SUFFIX] = _pack_chip_rows(
+            live, n_chips)
+    arrays.update({
         "bti/time_s": np.array(bti.time_s, dtype=np.float64),
-        "em/progress_s": em.progress_s.copy(),
-        "em/nucleated": em.nucleated.copy(),
-        "em/void_reversible_m": em.void_reversible_m.copy(),
-        "em/void_locked_m": em.void_locked_m.copy(),
         "em/time_s": np.array(em.time_s, dtype=np.float64),
         "variation/capture_scale": v.capture_scale.copy(),
         "variation/recovery_scale": v.recovery_scale.copy(),
@@ -270,7 +374,7 @@ def _snapshot_run(run: _FleetRun) -> FleetSnapshot:
                           for c in run.cohorts],
                          protocol=_PICKLE_PROTOCOL),
             dtype=np.uint8),
-    }
+    })
     has_previous_utilization: List[bool] = []
     for index, cohort in enumerate(run.cohorts):
         arrays[f"cohort{index}/previous_recovering"] = \
@@ -345,23 +449,14 @@ def _restore_run(run: _FleetRun, snapshot: FleetSnapshot) -> None:
                 f"the run's {key}={expected!r}")
     bti, em = state.bti, state.em
     try:
-        _copy_exact(bti.weights, arrays["bti/weights"],
-                    "bti/weights")
-        _copy_exact(bti.occupancy, arrays["bti/occupancy"],
-                    "bti/occupancy")
-        _copy_exact(bti.age_s, arrays["bti/age_s"], "bti/age_s")
-        _copy_exact(bti.permanent_v, arrays["bti/permanent_v"],
-                    "bti/permanent_v")
+        for name, live in _chip_state(state).items():
+            repeat = arrays.get(name + _REPEAT_SUFFIX)
+            if repeat is None:  # a full array, as written before packing
+                _copy_exact(live, arrays[name], name)
+            else:
+                _unpack_chip_rows(live, arrays[name], repeat,
+                                  state.n_chips, name)
         bti.time_s = float(arrays["bti/time_s"])
-        _copy_exact(em.progress_s, arrays["em/progress_s"],
-                    "em/progress_s")
-        _copy_exact(em.nucleated, arrays["em/nucleated"],
-                    "em/nucleated")
-        _copy_exact(em.void_reversible_m,
-                    arrays["em/void_reversible_m"],
-                    "em/void_reversible_m")
-        _copy_exact(em.void_locked_m, arrays["em/void_locked_m"],
-                    "em/void_locked_m")
         em.time_s = float(arrays["em/time_s"])
         variation = state.variation
         _copy_exact(variation.capture_scale,
@@ -536,6 +631,141 @@ def resume_chunk_run(ckpt: _ChunkCheckpoint, index: int,
 # -- study directories ------------------------------------------------------
 
 
+def _feed(digest, tag: bytes, payload: bytes = b"") -> None:
+    """Hash one length-prefixed, tagged token."""
+    digest.update(tag + len(payload).to_bytes(8, "little"))
+    digest.update(payload)
+
+
+def _qualified_name(obj) -> bytes:
+    return (f"{getattr(obj, '__module__', None)}."
+            f"{getattr(obj, '__qualname__', None)}").encode("utf-8")
+
+
+def _canonical_digest(value, ancestors: Dict[int, int]) -> bytes:
+    digest = hashlib.sha256()
+    _canonical_feed(digest, value, ancestors)
+    return digest.digest()
+
+
+def _canonical_feed(digest, value, ancestors: Dict[int, int]) -> None:
+    """Hash ``value``'s canonical encoding into ``digest``.
+
+    Equal values encode to equal bytes however their objects are
+    shared: dataclasses by type and fields (then any other instance
+    attributes, by name), arrays by dtype, shape and raw bytes, floats
+    by :meth:`float.hex`, dicts and sets in sorted order, numpy
+    generators by their bit-generator state, and any other object
+    through its ``__reduce_ex__`` parts.  A reference back to an
+    enclosing object (a cycle) encodes as its depth.
+    """
+    if value is None:
+        _feed(digest, b"N")
+    elif isinstance(value, bool):
+        _feed(digest, b"b", b"1" if value else b"0")
+    elif isinstance(value, np.generic):  # np.float64 is also a float
+        _feed(digest, b"g", value.dtype.str.encode("ascii"))
+        _feed(digest, b"", value.tobytes())
+    elif isinstance(value, int):
+        _feed(digest, b"i", str(int(value)).encode("ascii"))
+    elif isinstance(value, float):
+        _feed(digest, b"f", float(value).hex().encode("ascii"))
+    elif isinstance(value, str):
+        _feed(digest, b"s", value.encode("utf-8", "surrogatepass"))
+    elif isinstance(value, (bytes, bytearray)):
+        _feed(digest, b"y", bytes(value))
+    elif isinstance(value, (type, types.FunctionType,
+                            types.BuiltinFunctionType)):
+        _feed(digest, b"t", _qualified_name(value))
+    elif id(value) in ancestors:
+        depth = len(ancestors) - ancestors[id(value)]
+        _feed(digest, b"^", str(depth).encode("ascii"))
+    else:
+        ancestors[id(value)] = len(ancestors)
+        try:
+            _canonical_feed_object(digest, value, ancestors)
+        finally:
+            del ancestors[id(value)]
+
+
+def _canonical_feed_object(digest, value,
+                           ancestors: Dict[int, int]) -> None:
+    """The container and object cases of :func:`_canonical_feed`."""
+    def feed(item):
+        _canonical_feed(digest, item, ancestors)
+
+    def feed_sorted(tag: bytes, items) -> None:
+        _feed(digest, tag, str(len(items)).encode("ascii"))
+        for item in sorted(items):
+            _feed(digest, b"", item)
+
+    if isinstance(value, np.ndarray):
+        _feed(digest, b"a", f"{value.dtype.str}{value.shape}"
+              .encode("utf-8"))
+        if value.dtype.hasobject:
+            for item in value.ravel():
+                feed(item)
+        else:
+            _feed(digest, b"", value.tobytes())
+    elif type(value) in (tuple, list):
+        _feed(digest, b"(" if type(value) is tuple else b"[",
+              str(len(value)).encode("ascii"))
+        for item in value:
+            feed(item)
+    elif type(value) is dict:
+        feed_sorted(b"{", [
+            _canonical_digest(key, ancestors)
+            + _canonical_digest(item, ancestors)
+            for key, item in value.items()])
+    elif type(value) in (set, frozenset):
+        feed_sorted(b"S", [_canonical_digest(item, ancestors)
+                           for item in value])
+    elif dataclasses.is_dataclass(value):
+        _feed(digest, b"D", _qualified_name(type(value)))
+        names = []
+        for field in dataclasses.fields(value):
+            names.append(field.name)
+            _feed(digest, b"k", field.name.encode("utf-8"))
+            feed(getattr(value, field.name))
+        extra = {name: item
+                 for name, item in getattr(value, "__dict__", {}).items()
+                 if name not in names}
+        feed(extra)
+    elif isinstance(value, np.random.Generator):
+        bit_generator = value.bit_generator
+        _feed(digest, b"R", _qualified_name(type(bit_generator)))
+        feed(bit_generator.state)
+    else:
+        try:
+            reduced = value.__reduce_ex__(_PICKLE_PROTOCOL)
+        except Exception as error:
+            raise CheckpointError(
+                "checkpointing requires a picklable study (chip "
+                f"config, groups, variation, calibration): {error}"
+            ) from error
+        _feed(digest, b"O", _qualified_name(type(value)))
+        if isinstance(reduced, str):  # a module-level singleton
+            _feed(digest, b"", reduced.encode("utf-8"))
+            return
+        reduced = tuple(reduced) + (None,) * (5 - len(reduced))
+        constructor, args, state, list_items, dict_items = reduced[:5]
+        feed(constructor)
+        feed(tuple(args))
+        feed(state)
+        feed(None if list_items is None else list(list_items))
+        feed(None if dict_items is None else dict(dict_items))
+
+
+def _study_fields(chip, groups, n_epochs, epoch_s, record_every,
+                  variation, seed, calibration, em_reference,
+                  state_dtype, bounds) -> tuple:
+    """The result-determining inputs of a study, as one tuple."""
+    return (chip, tuple(groups), int(n_epochs), float(epoch_s),
+            int(record_every), variation, int(seed), calibration,
+            em_reference, str(state_dtype),
+            tuple((int(b.start), int(b.stop)) for b in bounds))
+
+
 def study_digest(chip: ChipConfig, groups: Sequence[FleetGroup],
                  n_epochs: int, epoch_s: float, record_every: int,
                  variation, seed: int,
@@ -553,18 +783,23 @@ def study_digest(chip: ChipConfig, groups: Sequence[FleetGroup],
     and resume.  Every checkpoint file carries the digest, and loads
     refuse files whose digest differs, so a directory can never leak
     state between different studies.
+
+    The digest hashes a canonical encoding (see
+    :func:`_canonical_feed`), not pickle bytes: pickle output depends
+    on which objects the study shares, so two equal studies could
+    digest differently.
     """
-    try:
-        payload = pickle.dumps(
-            (chip, tuple(groups), int(n_epochs), float(epoch_s),
-             int(record_every), variation, int(seed), calibration,
-             em_reference, str(state_dtype),
-             tuple((int(b.start), int(b.stop)) for b in bounds)),
-            protocol=_PICKLE_PROTOCOL)
-    except Exception as error:
-        raise CheckpointError(
-            "checkpointing requires a picklable study (chip config, "
-            f"groups, variation, calibration): {error}") from error
+    digest = hashlib.sha256(_DIGEST_MAGIC)
+    _canonical_feed(digest, _study_fields(
+        chip, groups, n_epochs, epoch_s, record_every, variation, seed,
+        calibration, em_reference, state_dtype, bounds), {})
+    return digest.hexdigest()
+
+
+def _pickled_study_digest(*study) -> str:
+    """The pickle-byte digest that older study manifests carry."""
+    payload = pickle.dumps(_study_fields(*study),
+                           protocol=_PICKLE_PROTOCOL)
     return hashlib.sha256(payload).hexdigest()
 
 
@@ -606,24 +841,56 @@ def prepare_study_directory(directory, *, every: Optional[int],
     re-invocation spec :func:`resume_fleet_lifetime_study` replays.
     Re-opening verifies the manifest's schema and digest, so resuming
     a *different* study against an existing directory fails loudly
-    instead of mixing state.
+    instead of mixing state.  A manifest written under the older
+    pickle-byte digest is accepted when the study's pickle-byte digest
+    matches it, and the directory keeps that digest.  The spec is
+    pickled up front, so an unpicklable study is refused before any
+    file is written.
     """
     if every is not None and every < 1:
         raise SimulationError(
             "checkpoint_every must be at least 1")
     directory = os.fspath(directory)
-    digest = study_digest(chip, groups, n_epochs, epoch_s,
-                          record_every, variation, seed, calibration,
-                          em_reference, state_dtype, bounds)
+    spec = {
+        "chip": chip,
+        "kwargs": {
+            "groups": tuple(groups),
+            "n_epochs": int(n_epochs),
+            "epoch_s": float(epoch_s),
+            "record_every": int(record_every),
+            "variation": variation,
+            "seed": int(seed),
+            "calibration": calibration,
+            "em_reference": em_reference,
+            "state_dtype": str(state_dtype),
+            "max_chunk_chips": max_chunk_chips,
+            "state_budget_bytes": state_budget_bytes,
+            "checkpoint_every": every,
+        },
+    }
+    try:
+        spec_bytes = pickle.dumps(spec, protocol=_PICKLE_PROTOCOL)
+    except Exception as error:
+        raise CheckpointError(
+            "checkpointing requires a picklable study (chip config, "
+            f"groups, variation, calibration): {error}") from error
+    study = (chip, groups, n_epochs, epoch_s, record_every, variation,
+             seed, calibration, em_reference, state_dtype, bounds)
+    digest = study_digest(*study)
     os.makedirs(directory, exist_ok=True)
     manifest_path = os.path.join(directory, "manifest.json")
     if os.path.exists(manifest_path):
         manifest = _load_manifest(manifest_path)
-        if manifest.get("digest") != digest:
+        stored = manifest.get("digest")
+        if (stored != digest
+                and stored != _pickled_study_digest(*study)):
             raise CheckpointError(
                 f"{directory} holds checkpoints of a different "
                 "study (fingerprint mismatch); use a fresh "
                 "directory or re-invoke the original study")
+        # A directory written under the older pickle-byte digest
+        # keeps it, so its chunk files still match.
+        digest = stored
     else:
         manifest = {
             "magic": _STUDY_MAGIC,
@@ -636,27 +903,10 @@ def prepare_study_directory(directory, *, every: Optional[int],
             "state_dtype": str(state_dtype),
             "checkpoint_every": every,
         }
-        spec = {
-            "chip": chip,
-            "kwargs": {
-                "groups": tuple(groups),
-                "n_epochs": int(n_epochs),
-                "epoch_s": float(epoch_s),
-                "record_every": int(record_every),
-                "variation": variation,
-                "seed": int(seed),
-                "calibration": calibration,
-                "em_reference": em_reference,
-                "state_dtype": str(state_dtype),
-                "max_chunk_chips": max_chunk_chips,
-                "state_budget_bytes": state_budget_bytes,
-                "checkpoint_every": every,
-            },
-        }
         spec_path = os.path.join(directory, "study.pkl")
         tmp = f"{spec_path}.tmp.{os.getpid()}"
         with open(tmp, "wb") as handle:
-            pickle.dump(spec, handle, protocol=_PICKLE_PROTOCOL)
+            handle.write(spec_bytes)
         os.replace(tmp, spec_path)
         tmp = f"{manifest_path}.tmp.{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as handle:
@@ -871,7 +1121,15 @@ class FleetSession:
         return self._run.result()
 
     def snapshot(self) -> FleetSnapshot:
-        """Capture the full session state as a self-contained snapshot."""
+        """Capture the full session state as a self-contained snapshot.
+
+        The snapshot owns its arrays (nothing aliases the live
+        state).  The chip-major state arrays are row-packed (see the
+        module docstring): ``arrays["bti/weights"]`` holds
+        ``n_kept * n_cores`` rows, one block per chip whose
+        ``arrays["bti/weights#repeat"]`` entry is false, not the
+        session's ``n_chips * n_cores``.
+        """
         snapshot = _snapshot_run(self._run)
         snapshot.meta["kind"] = "fleet-session"
         snapshot.arrays["session/spec"] = np.frombuffer(

@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import os
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.system.checkpoint as checkpoint_module
 from repro.errors import CheckpointError, SimulationError
@@ -45,7 +47,12 @@ from repro.system.scheduler import (
     NoRecoveryPolicy,
     RoundRobinRecoveryPolicy,
 )
-from repro.system.workload import ConstantWorkload, RandomWorkload
+from repro.system.sweeps import ChipConfig
+from repro.system.workload import (
+    ConstantWorkload,
+    DiurnalWorkload,
+    RandomWorkload,
+)
 
 N_CORES = 4  # 2x2 grid
 
@@ -177,6 +184,226 @@ class TestSnapshotFormat:
         assert loaded.meta == self.META
         assert np.array_equal(loaded.arrays["b/i64"],
                               self.ARRAYS["b/i64"])
+
+
+# -- chip-row packing -------------------------------------------------------
+
+PACKED = ("bti/weights", "bti/occupancy", "bti/age_s", "bti/permanent_v",
+          "em/progress_s", "em/nucleated", "em/void_reversible_m",
+          "em/void_locked_m")
+TRAP = PACKED[:4]
+REPEAT = checkpoint_module._REPEAT_SUFFIX
+
+_QUIET_NAN = np.float64(np.nan)
+_PAYLOAD_NAN = np.array([0x7FF8000000000001], dtype=np.uint64).view(
+    np.float64)[0]
+_CHIP_VALUES = {
+    "float64": (0.0, -0.0, 1.0, _QUIET_NAN, _PAYLOAD_NAN, np.inf),
+    "float32": (0.0, -0.0, 1.0, np.float32(np.nan),
+                np.array([0x7FC00001], dtype=np.uint32).view(
+                    np.float32)[0], np.float32(2.5e-3)),
+    "bool": (False, True),
+    "int64": (0, -1, 7, 2 ** 62),
+}
+
+
+def _codec_settings() -> settings:
+    """A fixed tier-1 budget, or the ``deep`` profile when it is loaded."""
+    deep = settings.get_profile("deep")
+    if settings.default is deep:
+        return deep
+    return settings(max_examples=40, derandomize=True, deadline=None)
+
+
+@st.composite
+def chip_major_arrays(draw):
+    """A chip-major array with random runs of bitwise-repeated chips.
+
+    Chip values come from a small pool holding -0.0 next to +0.0 and
+    NaNs with different payloads, so fresh chips often differ from
+    their predecessor only in those bits.
+    """
+    dtype = draw(st.sampled_from(sorted(_CHIP_VALUES)))
+    n_chips = draw(st.integers(1, 9))
+    rows = draw(st.integers(1, 3))
+    tail = draw(st.sampled_from([(), (1,), (3,), (5,)]))
+    per_chip = rows * int(np.prod(tail, dtype=int))
+    values = st.sampled_from(_CHIP_VALUES[dtype])
+    chips = []
+    for index in range(n_chips):
+        if index and draw(st.booleans()):
+            chips.append(chips[-1])
+        else:
+            chips.append(draw(st.lists(values, min_size=per_chip,
+                                       max_size=per_chip)))
+    array = np.array(chips, dtype=dtype)
+    return array.reshape((n_chips * rows,) + tail), n_chips
+
+
+def _chip_bytes(array, n_chips):
+    return [chip.tobytes() for chip in array.reshape(n_chips, -1)]
+
+
+@_codec_settings()
+@given(case=chip_major_arrays())
+def test_chip_row_codec_round_trip_is_bitwise(case):
+    array, n_chips = case
+    kept, repeat = checkpoint_module._pack_chip_rows(array, n_chips)
+    chips = _chip_bytes(array, n_chips)
+    assert repeat.dtype == np.bool_ and repeat.shape == (n_chips,)
+    assert list(repeat) == [False] + [chips[k] == chips[k - 1]
+                                      for k in range(1, n_chips)]
+    assert kept.dtype == array.dtype
+    assert kept.shape[1:] == array.shape[1:]
+    assert _chip_bytes(kept, int((~repeat).sum())) == [
+        chip for chip, again in zip(chips, repeat) if not again]
+    assert not np.shares_memory(kept, array)
+    # Through the snapshot file format and back into a live buffer.
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "codec.npz")
+        write_snapshot(path, {"x": kept, "x" + REPEAT: repeat}, {})
+        arrays, _ = read_snapshot(path)
+    restored = np.full_like(array, 1)
+    checkpoint_module._unpack_chip_rows(restored, arrays["x"],
+                                        arrays["x" + REPEAT], n_chips,
+                                        "x")
+    assert restored.tobytes() == array.tobytes()
+
+
+def identical_groups():
+    # No variation: chips of one group and phase stay bitwise equal,
+    # so the trap state packs to one chip per run of equal phases.
+    return (
+        FleetGroup(n_chips=5, workload=DiurnalWorkload(
+            n_cores=N_CORES, period_epochs=8), policy=policy(),
+            phases=(0, 0, 3, 3, 3), name="diurnal"),
+        FleetGroup(n_chips=3, workload=ConstantWorkload(
+            n_cores=N_CORES, utilization=0.7),
+            policy=NoRecoveryPolicy(), name="control"),
+    )
+
+
+IDENTICAL_REPEAT = [False, True, False, True, True, False, True, True]
+
+
+def identical_session():
+    return FleetSession((2, 2), groups=identical_groups(),
+                        record_every=2)
+
+
+def legacy_layout(session):
+    """The session's snapshot as written before chip-row packing."""
+    snapshot = session.snapshot()
+    state = session._simulator.state
+    for name, live in checkpoint_module._chip_state(state).items():
+        snapshot.arrays[name] = live.copy()
+        del snapshot.arrays[name + REPEAT]
+    return snapshot
+
+
+class TestChipRowPacking:
+    def test_identical_fleet_progress_file_keeps_one_chip_per_run(
+            self, tmp_path, monkeypatch):
+        real = checkpoint_module.save_chunk_progress
+
+        def save_then_stop(ckpt, index, run):
+            real(ckpt, index, run)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(checkpoint_module, "save_chunk_progress",
+                            save_then_stop)
+        directory = tmp_path / "ckpt"
+        kwargs = dict(groups=identical_groups(), n_epochs=6,
+                      record_every=2, max_workers=0)
+        with pytest.raises(KeyboardInterrupt):
+            run_fleet_lifetime_study((2, 2), checkpoint_dir=directory,
+                                     checkpoint_every=2, **kwargs)
+        monkeypatch.undo()
+        arrays, meta = read_snapshot(
+            directory / "chunk-00000.progress.npz")
+        assert meta["epoch"] == 2 and meta["n_chips"] == 8
+        # The same fleet, advanced in a session to the same epoch,
+        # says which chips repeat their predecessor bitwise.
+        live = checkpoint_module._chip_state(
+            identical_session().advance(2)._simulator.state)
+        for name in TRAP:
+            chips = _chip_bytes(live[name], 8)
+            runs = [False] + [chips[k] == chips[k - 1]
+                              for k in range(1, 8)]
+            assert arrays[name + REPEAT].tolist() == runs, name
+            assert arrays[name].shape[0] == \
+                runs.count(False) * N_CORES, name
+        # Occupancy splits by phase and group; the fresh trap weights
+        # are one chip for the whole fleet.
+        assert arrays["bti/occupancy" + REPEAT].tolist() == \
+            IDENTICAL_REPEAT
+        assert arrays["bti/weights"].shape == (N_CORES, 64)
+        resumed = run_fleet_lifetime_study(
+            (2, 2), checkpoint_dir=directory, checkpoint_every=2,
+            **kwargs)
+        plain = run_fleet_lifetime_study((2, 2), **kwargs)
+        assert_results_bitwise_equal(resumed, plain)
+
+    def test_varied_fleet_keeps_every_chip_of_its_occupancy(self):
+        snapshot = make_session().advance(2).snapshot()
+        for name in ("bti/occupancy", "bti/age_s", "em/progress_s"):
+            assert not snapshot.arrays[name + REPEAT].any(), name
+        assert snapshot.arrays["bti/occupancy"].shape == (
+            6 * N_CORES, 64)
+
+    def test_snapshot_does_not_alias_live_state(self):
+        session = identical_session().advance(2)
+        snapshot = session.snapshot()
+        for name, live in checkpoint_module._chip_state(
+                session._simulator.state).items():
+            assert not np.shares_memory(snapshot.arrays[name], live)
+
+    @pytest.mark.parametrize("groups", ["varied", "identical"])
+    def test_pre_packing_snapshot_restores_bitwise(self, tmp_path,
+                                                   groups):
+        build = (make_session if groups == "varied"
+                 else identical_session)
+        session = build().advance(3)
+        path = tmp_path / "legacy.npz"
+        legacy_layout(session).save(path)
+        arrays, _ = read_snapshot(path)
+        assert not any(name.endswith(REPEAT) for name in arrays)
+        session.advance(3)
+        loaded = FleetSession.load(path)
+        assert loaded.epoch == 3
+        loaded.advance(3)
+        assert_results_bitwise_equal(loaded.result(), session.result())
+
+    @pytest.mark.parametrize("corruption", [
+        "mask_short", "mask_long", "mask_dtype", "extra_kept_chip",
+        "missing_kept_chip", "first_chip_repeats", "kept_dtype"])
+    def test_inconsistent_mask_raises_checkpoint_error(
+            self, tmp_path, corruption):
+        snapshot = identical_session().advance(2).snapshot()
+        arrays = snapshot.arrays
+        mask = arrays["bti/occupancy" + REPEAT].copy()
+        kept = arrays["bti/occupancy"]
+        if corruption == "mask_short":
+            mask = mask[:-1]
+        elif corruption == "mask_long":
+            mask = np.append(mask, True)
+        elif corruption == "mask_dtype":
+            mask = mask.astype(np.uint8)
+        elif corruption == "extra_kept_chip":
+            mask[1] = False
+        elif corruption == "missing_kept_chip":
+            mask[2] = True
+        elif corruption == "first_chip_repeats":
+            mask[0], mask[1] = True, False
+        else:
+            kept = kept.astype(np.float32)
+        arrays["bti/occupancy" + REPEAT] = mask
+        arrays["bti/occupancy"] = kept
+        path = tmp_path / "inconsistent.npz"
+        snapshot.save(path)
+        read_snapshot(path)  # the checksum covers the bad mask
+        with pytest.raises(CheckpointError, match="bti/occupancy"):
+            FleetSession.load(path)
 
 
 # -- incremental sessions ---------------------------------------------------
@@ -405,6 +632,87 @@ class TestCheckpointedStudy:
         assert meta["chunk_index"] == 1
         assert arrays["result/final_delta_vth_v"].shape == (3,
                                                             N_CORES)
+
+    def test_equal_studies_digest_equal_however_objects_are_shared(
+            self, tmp_path):
+        # g2 shares g1's workload and policy objects; g2b holds equal,
+        # fresh ones.  Pickle bytes differ between the two studies
+        # (the pickle memo), the canonical digest must not.
+        g1 = FleetGroup(n_chips=4, workload=workload(),
+                        policy=policy(), name="a")
+        g2 = FleetGroup(n_chips=4, workload=g1.workload,
+                        policy=g1.policy, name="b")
+        g2b = FleetGroup(n_chips=4, workload=workload(),
+                         policy=policy(), name="b")
+        assert g2 == g2b
+        study = dict(chip=ChipConfig(rows=2, cols=2), n_epochs=6,
+                     epoch_s=3600.0, record_every=2,
+                     variation=VARIATION, seed=7, calibration=None,
+                     em_reference=None, state_dtype="<f8",
+                     bounds=[range(0, 8)])
+        shared = checkpoint_module.study_digest(groups=(g1, g2),
+                                                **study)
+        fresh = checkpoint_module.study_digest(groups=(g1, g2b),
+                                               **study)
+        assert shared == fresh
+        directory = tmp_path / "ckpt"
+        first = run_study(n_chips=None, workload=None, policy=None,
+                          groups=(g1, g2), checkpoint_dir=directory)
+        reports = []
+        again = run_study(n_chips=None, workload=None, policy=None,
+                          groups=(g1, g2b), checkpoint_dir=directory,
+                          on_report=reports.append)
+        assert all(chunk.executed_in == "cached"
+                   for chunk in reports[0].chunks)
+        assert_results_bitwise_equal(first, again)
+
+    def test_digest_covers_template_state_outside_fields(self):
+        # A RandomWorkload's stream position lives outside its
+        # dataclass fields and shapes the result.
+        advanced = workload()
+        advanced.demand(5)
+        study = dict(chip=ChipConfig(rows=2, cols=2), n_epochs=6,
+                     epoch_s=3600.0, record_every=2, variation=None,
+                     seed=7, calibration=None, em_reference=None,
+                     state_dtype="<f8", bounds=[range(0, 6)])
+        digests = {
+            checkpoint_module.study_digest(groups=(FleetGroup(
+                n_chips=6, workload=template, policy=policy()),),
+                **study)
+            for template in (workload(), workload(), advanced)}
+        assert len(digests) == 2
+
+    def test_directory_under_the_pickle_digest_still_resumes(
+            self, tmp_path, monkeypatch):
+        # Directories written before the canonical digest carry the
+        # pickle-byte one in the manifest and in every chunk file.
+        directory = tmp_path / "ckpt"
+        monkeypatch.setattr(checkpoint_module, "study_digest",
+                            checkpoint_module._pickled_study_digest)
+        real = checkpoint_module.save_chunk_progress
+
+        def save_then_stop(ckpt, index, run):
+            real(ckpt, index, run)
+            if index == 1:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(checkpoint_module, "save_chunk_progress",
+                            save_then_stop)
+        with pytest.raises(KeyboardInterrupt):
+            run_study(checkpoint_dir=directory, checkpoint_every=2)
+        monkeypatch.undo()
+        legacy = checkpoint_module._load_manifest(
+            str(directory / "manifest.json"))["digest"]
+        assert (directory / "chunk-00000.result.npz").exists()
+        assert (directory / "chunk-00001.progress.npz").exists()
+        reports = []
+        resumed = run_study(checkpoint_dir=directory,
+                            checkpoint_every=2,
+                            on_report=reports.append)
+        assert_results_bitwise_equal(resumed, run_study())
+        assert reports[0].chunks[0].executed_in == "cached"
+        _, meta = read_snapshot(directory / "chunk-00002.result.npz")
+        assert meta["digest"] == legacy
 
     def test_study_spec_round_trips_through_pickle(self, tmp_path):
         directory = tmp_path / "ckpt"
