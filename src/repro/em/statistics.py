@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from repro.em.blacks import BlacksModel
 from repro.em.korhonen import (
@@ -65,17 +64,18 @@ class WirePopulationSpec:
         """CDF of one wire's lognormal TTF at ``time_s``."""
         if time_s < 0.0:
             raise SimulationError("time must be non-negative")
-        if time_s == 0.0:
+        ratio = time_s / self.median_ttf_s
+        if ratio == 0.0:  # time zero, or so small the ratio underflows
             return 0.0
-        z = math.log(time_s / self.median_ttf_s) / self.sigma
-        return float(norm.cdf(z))
+        z = math.log(ratio) / self.sigma
+        return float(ndtr(z))
 
     def wire_quantile(self, fraction: float) -> float:
         """Time by which ``fraction`` of single wires have failed."""
         if not 0.0 < fraction < 1.0:
             raise SimulationError("fraction must be in (0, 1)")
         return self.median_ttf_s * math.exp(
-            self.sigma * float(norm.ppf(fraction)))
+            self.sigma * float(ndtri(fraction)))
 
     # -- chip-level (weakest link) -----------------------------------------
 
@@ -99,6 +99,7 @@ class WirePopulationSpec:
         bisection burned up to 200 CDF evaluations per call).
         ``tolerance`` is the relative accuracy of the returned time.
         """
+        from scipy.optimize import brentq
         if not 0.0 < fraction < 1.0:
             raise SimulationError("fraction must be in (0, 1)")
         # The chip CDF at the single-wire q-quantile is roughly

@@ -39,8 +39,6 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 from scipy.linalg import get_lapack_funcs
 
 
@@ -139,6 +137,7 @@ class SparseLuOperator(FactorizedOperator):
     """Sparse LU (SuperLU) of a CSC/CSR/COO matrix."""
 
     def __init__(self, matrix: "scipy.sparse.spmatrix"):
+        import scipy.sparse.linalg
         matrix = scipy.sparse.csc_matrix(matrix)
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be square")

@@ -448,6 +448,7 @@ def _restore_run(run: _FleetRun, snapshot: FleetSnapshot) -> None:
                 f"snapshot {key}={meta.get(key)!r} does not match "
                 f"the run's {key}={expected!r}")
     bti, em = state.bti, state.em
+    run.delta_vth = None  # derived from the state about to be replaced
     try:
         for name, live in _chip_state(state).items():
             repeat = arrays.get(name + _REPEAT_SUFFIX)
@@ -1084,13 +1085,13 @@ class FleetSession:
 
     def delta_vth_v(self) -> np.ndarray:
         """Current per-core threshold shift, ``(n_chips, n_cores)``."""
-        return self._simulator.state.delta_vth_v().copy()
+        return self._run.current_delta_vth().copy()
 
     def delta_vth_quantile(self, fraction: float) -> float:
         """Population quantile of the per-chip worst-core shift."""
         if not 0.0 <= fraction <= 1.0:
             raise SimulationError("fraction must be in [0, 1]")
-        worst = self._simulator.state.delta_vth_v().max(axis=1)
+        worst = self._run.current_delta_vth().max(axis=1)
         return float(np.quantile(worst, fraction))
 
     @property
@@ -1101,7 +1102,7 @@ class FleetSession:
         the live (current-epoch) degradation, so queries between
         record points never understate the needed margin.
         """
-        delta = self._simulator.state.delta_vth_v()
+        delta = self._run.current_delta_vth()
         oscillator = self._simulator.chip.core.oscillator
         current = oscillator.delay_degradation_array(delta).max(
             axis=1)

@@ -561,10 +561,10 @@ class FleetState:
     def delta_vth_v(self) -> np.ndarray:
         """Total per-core shift, ``(n_chips, n_cores)``, as float64.
 
-        In float64 mode this is the state's own array (no copy); in
-        float32 mode the reduced-precision state is upcast once here
-        so every downstream observable (policy inputs, degradation
-        records, results) stays float64.
+        Evaluated afresh on each call, one pass over every trap row.
+        In float32 mode the reduced-precision state is upcast once
+        here so every downstream observable (policy inputs,
+        degradation records, results) stays float64.
         """
         return np.asarray(self.bti.delta_vth_v(), dtype=np.float64)
 
@@ -796,6 +796,21 @@ class _FleetRun:
         # from these, so they are part of the resumable state.
         self.cohort_temps: Optional[
             List[Tuple[int, int, np.ndarray]]] = None
+        # The population's delta-Vth after the last advanced epoch,
+        # which the epoch loop computes anyway; derived, not saved
+        # (None until advanced, and again after a restore).
+        self.delta_vth: Optional[np.ndarray] = None
+
+    def current_delta_vth(self) -> np.ndarray:
+        """The population's delta-Vth now, ``(n_chips, n_cores)``.
+
+        The end-of-epoch value of the last advance, or one fresh
+        evaluation of the state if there was none.  Callers must not
+        write into it.
+        """
+        if self.delta_vth is None:
+            self.delta_vth = self.simulator.state.delta_vth_v()
+        return self.delta_vth
 
     def advance(self, n_epochs: int) -> None:
         """Advance the population by ``n_epochs`` more epochs."""
@@ -817,7 +832,10 @@ class _FleetRun:
         total_demand = self.total_demand
         total_dropped = self.total_dropped
         dropped_epoch = self._dropped_epoch
-        delta_vth = state.delta_vth_v()
+        delta_vth = self.current_delta_vth()
+        # Stale once the state moves: an advance that raises must not
+        # leave it behind for the next query.
+        self.delta_vth = None
         cond = None
         for epoch in range(self.epoch, self.epoch + n_epochs):
             if _TEST_EPOCH_SLEEP_S > 0.0:
@@ -865,6 +883,7 @@ class _FleetRun:
                 self.mean.append(degradation.mean(axis=1))
                 self.dropped.append(dropped_epoch.copy())
         self.epoch += n_epochs
+        self.delta_vth = delta_vth
         self.cohort_temps = [(start, stop, temps.copy())
                              for start, stop, temps
                              in cond.cohort_temps]
@@ -895,7 +914,7 @@ class _FleetRun:
             worst_degradation=np.array(self.worst),
             mean_degradation=np.array(self.mean),
             dropped_demand=np.array(self.dropped),
-            final_delta_vth_v=state.delta_vth_v().copy(),
+            final_delta_vth_v=self.current_delta_vth().copy(),
             final_permanent_vth_v=np.asarray(
                 state.bti.permanent_vth_v(),
                 dtype=np.float64).copy(),

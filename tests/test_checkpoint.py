@@ -436,6 +436,39 @@ class TestFleetSession:
         clean = make_session().advance(6)
         assert_results_bitwise_equal(probed.result(), clean.result())
 
+    @pytest.mark.parametrize("route", ["restore", "load"])
+    @pytest.mark.parametrize("state_dtype", [np.float64, np.float32])
+    def test_delta_vth_queries_match_an_uncached_recompute(
+            self, tmp_path, route, state_dtype):
+        # Queries reuse the delta-Vth the last advance ended on; after
+        # a restore or load they must reflect the restored state, and
+        # the advance that follows must start from it too.
+        def assert_uncached(session):
+            fresh = session._simulator.state.delta_vth_v()
+            assert session.delta_vth_v().tobytes() == fresh.tobytes()
+            answers = (session.guardbands.tobytes(),
+                       session.delta_vth_quantile(0.5),
+                       session.guardband_quantile(0.99))
+            session._run.delta_vth = None
+            assert answers == (session.guardbands.tobytes(),
+                               session.delta_vth_quantile(0.5),
+                               session.guardband_quantile(0.99))
+
+        path = tmp_path / "session.npz"
+        session = make_session(state_dtype=state_dtype).advance(3)
+        session.save(path)
+        session.advance(3)
+        assert_uncached(session)
+        if route == "restore":
+            session.restore(path)
+        else:
+            session = FleetSession.load(path)
+        assert_uncached(session)
+        session.advance(3)
+        assert_uncached(session)
+        reference = make_session(state_dtype=state_dtype).advance(6)
+        assert_results_bitwise_equal(session.result(), reference.result())
+
     @pytest.mark.parametrize("state_dtype", [np.float64, np.float32])
     def test_snapshot_restore_continues_bitwise(self, state_dtype):
         session = make_session(state_dtype=state_dtype).advance(3)
