@@ -36,7 +36,13 @@ the foundation of the ROADMAP's streaming fleet-reliability service:
   fleet keeps every chip.  The checksum covers the packed bytes.  An
   entry without its mask is read as the full array, so snapshots
   written before packing still load; a mask that does not fit its
-  array raises :class:`~repro.errors.CheckpointError`.
+  array raises :class:`~repro.errors.CheckpointError`.  The live state
+  holds one block per chip run (see
+  :class:`~repro.system.fleet.FleetState`), so capture compares only
+  run heads and marks every other chip of a run as a repeat, which
+  gives the bytes of chip-by-chip packing.  Restore reads each run
+  head's row and refuses a snapshot in which another chip of a run
+  differs from its head.
 
 * **Checkpointed studies.**  ``run_fleet_lifetime_study(...,
   checkpoint_dir=..., checkpoint_every=...)`` makes every
@@ -93,6 +99,7 @@ from repro.system.fleet import (
     FleetVariationSpec,
     _ChunkCheckpoint,
     _FleetRun,
+    _scale_run_bounds,
 )
 from repro.system.simulator import SchedulingPolicy, Workload
 from repro.system.sweeps import ChipConfig
@@ -282,6 +289,22 @@ def _chip_words(chips: np.ndarray) -> np.ndarray:
     return chips.view(np.dtype(f"u{width}"))
 
 
+def _repeat_mask(chips: np.ndarray) -> np.ndarray:
+    """``(n_chips,)`` mask of the chips bitwise equal to the one before.
+
+    ``chips`` is a 2-D ``(n_chips, k)`` array, one row per chip.
+    """
+    n_chips = chips.shape[0]
+    words = _chip_words(chips)
+    repeat = np.zeros(n_chips, dtype=bool)
+    step = max(1, _COMPARE_BLOCK_WORDS // max(1, words.shape[1]))
+    for start in range(1, n_chips, step):
+        stop = min(start + step, n_chips)
+        np.all(words[start:stop] == words[start - 1:stop - 1], axis=1,
+               out=repeat[start:stop])
+    return repeat
+
+
 def _pack_chip_rows(array: np.ndarray,
                     n_chips: int) -> Tuple[np.ndarray, np.ndarray]:
     """Split a chip-major array into its distinct chips and a mask.
@@ -294,26 +317,70 @@ def _pack_chip_rows(array: np.ndarray,
     in ``array``'s own layout with fewer leading rows.
     """
     chips = array.reshape(n_chips, -1)
-    words = _chip_words(chips)
-    repeat = np.zeros(n_chips, dtype=bool)
-    step = max(1, _COMPARE_BLOCK_WORDS // words.shape[1])
-    for start in range(1, n_chips, step):
-        stop = min(start + step, n_chips)
-        np.all(words[start:stop] == words[start - 1:stop - 1], axis=1,
-               out=repeat[start:stop])
+    repeat = _repeat_mask(chips)
     kept = chips[~repeat]
     return kept.reshape((-1,) + array.shape[1:]), repeat
 
 
+def _pack_runs(live: np.ndarray, state) -> Tuple[np.ndarray, np.ndarray]:
+    """Pack a live per-run state array into the per-chip format.
+
+    A chip that does not head its run repeats the chip before it by
+    construction, so only run heads are compared, each against the
+    previous head -- which is also the chip before it.  The output is
+    :func:`_pack_chip_rows` of the per-chip array, byte for byte.
+    """
+    kept, run_repeat = _pack_chip_rows(live, state.n_runs)
+    if state.n_runs == state.n_chips:
+        return kept, run_repeat
+    repeat = np.ones(state.n_chips, dtype=bool)
+    repeat[state.run_bounds[:-1]] = run_repeat
+    return kept, repeat
+
+
+def _refuse_split_runs(repeat: np.ndarray, state, name: str) -> None:
+    """Raise unless every chip that does not head a run repeats."""
+    body = np.ones(state.n_chips, dtype=bool)
+    body[state.run_bounds[:-1]] = False
+    if not repeat[body].all():
+        raise CheckpointError(
+            f"snapshot array {name!r} differs inside a run of "
+            "identical chips: it was not written by this fleet")
+
+
+def _run_heads(full: np.ndarray, state, name: str) -> np.ndarray:
+    """The run heads' chips of a full per-chip, chip-major array.
+
+    A varied fleet (one chip per run) gets ``full`` back as is.
+    Otherwise every other chip of a run must equal its head bitwise,
+    or :class:`~repro.errors.CheckpointError` is raised.
+    """
+    n_chips = state.n_chips
+    if state.n_runs == n_chips:
+        return full
+    if full.ndim == 0 or full.shape[0] % n_chips:
+        raise CheckpointError(
+            f"snapshot array {name!r} has layout "
+            f"{full.dtype}{full.shape}, run expects {n_chips} chips")
+    chips = np.ascontiguousarray(full).reshape(n_chips, -1)
+    _refuse_split_runs(_repeat_mask(chips), state, name)
+    rows = full.shape[0] // n_chips
+    return chips[state.run_bounds[:-1]].reshape(
+        (state.n_runs * rows,) + full.shape[1:])
+
+
 def _unpack_chip_rows(destination: np.ndarray, kept: np.ndarray,
                       repeat: np.ndarray, n_chips: int,
-                      name: str) -> None:
+                      name: str, state=None) -> None:
     """Expand :func:`_pack_chip_rows` output into ``destination``.
 
     ``destination`` is a C-contiguous chip-major array of ``n_chips``
-    chips, overwritten in place.  A mask that does not fit its array
-    (wrong dtype or length, a first chip marked as a repeat, a kept
-    row count other than the mask's) raises
+    chips, overwritten in place -- or, given the fleet ``state``, of
+    its chip runs, which take their head chip's row after the mask is
+    shown to mark every other chip of the run as a repeat.  A mask
+    that does not fit its array (wrong dtype or length, a first chip
+    marked as a repeat, a kept row count other than the mask's, a
+    kept chip inside a run) raises
     :class:`~repro.errors.CheckpointError`.
     """
     mask_name = name + _REPEAT_SUFFIX
@@ -326,18 +393,24 @@ def _unpack_chip_rows(destination: np.ndarray, kept: np.ndarray,
         raise CheckpointError(
             f"snapshot mask {mask_name!r} marks chip 0 as a repeat")
     n_kept = int(np.count_nonzero(~repeat))
-    rows = destination.shape[0] // n_chips
+    source = np.cumsum(~repeat) - 1
+    collapsed = state is not None and state.n_runs < n_chips
+    if collapsed:
+        source = source[state.run_bounds[:-1]]
+    rows = destination.shape[0] // source.size
     expected = (n_kept * rows,) + destination.shape[1:]
     if kept.dtype != destination.dtype or kept.shape != expected:
         raise CheckpointError(
             f"snapshot array {name!r} has layout "
             f"{kept.dtype}{kept.shape}, its mask expects "
             f"{destination.dtype}{expected}")
-    chips = destination.reshape(n_chips, -1)
+    if collapsed:
+        _refuse_split_runs(repeat, state, mask_name)
+    blocks = destination.reshape(source.size, -1)
     # mode="clip" skips numpy's buffered bounds pass; the checks above
     # already keep every index inside ``kept``.
-    np.take(kept.reshape(n_kept, -1), np.cumsum(~repeat) - 1, axis=0,
-            out=chips, mode="clip")
+    np.take(kept.reshape(n_kept, -1), source, axis=0, out=blocks,
+            mode="clip")
 
 
 # -- run state <-> snapshot -------------------------------------------------
@@ -349,25 +422,26 @@ def _snapshot_run(run: _FleetRun) -> FleetSnapshot:
     state = simulator.state
     bti, em, v = state.bti, state.em, state.variation
     n_chips = state.n_chips
+    expand = state.expand
     arrays: Dict[str, np.ndarray] = {}
     for name, live in _chip_state(state).items():
-        arrays[name], arrays[name + _REPEAT_SUFFIX] = _pack_chip_rows(
-            live, n_chips)
+        arrays[name], arrays[name + _REPEAT_SUFFIX] = _pack_runs(
+            live, state)
     arrays.update({
         "bti/time_s": np.array(bti.time_s, dtype=np.float64),
         "em/time_s": np.array(em.time_s, dtype=np.float64),
         "variation/capture_scale": v.capture_scale.copy(),
         "variation/recovery_scale": v.recovery_scale.copy(),
         "variation/em_current_scale": v.em_current_scale.copy(),
-        "run/migration_events": run.migration_events.copy(),
-        "run/total_demand": run.total_demand.copy(),
-        "run/total_dropped": run.total_dropped.copy(),
+        "run/migration_events": expand(run.migration_events).copy(),
+        "run/total_demand": expand(run.total_demand).copy(),
+        "run/total_dropped": expand(run.total_dropped).copy(),
         "run/times": np.array(run.times, dtype=np.float64),
-        "run/worst": (np.array(run.worst) if run.worst
+        "run/worst": (run.chip_records(run.worst) if run.worst
                       else np.zeros((0, n_chips))),
-        "run/mean": (np.array(run.mean) if run.mean
+        "run/mean": (run.chip_records(run.mean) if run.mean
                      else np.zeros((0, n_chips))),
-        "run/dropped": (np.array(run.dropped) if run.dropped
+        "run/dropped": (run.chip_records(run.dropped) if run.dropped
                         else np.zeros((0, n_chips))),
         "cohorts/state": np.frombuffer(
             pickle.dumps([(c.workload, c.policy)
@@ -450,37 +524,38 @@ def _restore_run(run: _FleetRun, snapshot: FleetSnapshot) -> None:
     bti, em = state.bti, state.em
     run.delta_vth = None  # derived from the state about to be replaced
     try:
+        # Each chip run restores from its head chip's row; the other
+        # chips of a run must repeat it, or the snapshot is refused.
         for name, live in _chip_state(state).items():
             repeat = arrays.get(name + _REPEAT_SUFFIX)
             if repeat is None:  # a full array, as written before packing
-                _copy_exact(live, arrays[name], name)
+                _copy_exact(live, _run_heads(arrays[name], state, name),
+                            name)
             else:
                 _unpack_chip_rows(live, arrays[name], repeat,
-                                  state.n_chips, name)
+                                  state.n_chips, name, state=state)
         bti.time_s = float(arrays["bti/time_s"])
         em.time_s = float(arrays["em/time_s"])
         variation = state.variation
-        _copy_exact(variation.capture_scale,
-                    arrays["variation/capture_scale"],
-                    "variation/capture_scale")
-        _copy_exact(variation.recovery_scale,
-                    arrays["variation/recovery_scale"],
-                    "variation/recovery_scale")
-        _copy_exact(variation.em_current_scale,
-                    arrays["variation/em_current_scale"],
-                    "variation/em_current_scale")
-        _copy_exact(run.migration_events,
-                    arrays["run/migration_events"],
-                    "run/migration_events")
-        _copy_exact(run.total_demand, arrays["run/total_demand"],
-                    "run/total_demand")
-        _copy_exact(run.total_dropped, arrays["run/total_dropped"],
-                    "run/total_dropped")
+        for field in _VARIATION_FIELDS:
+            _copy_exact(getattr(variation, field),
+                        arrays[f"variation/{field}"],
+                        f"variation/{field}")
+        if not np.isin(_scale_run_bounds(variation),
+                       state.run_bounds).all():
+            raise CheckpointError(
+                "snapshot variation differs inside a run of identical "
+                "chips: it was not written by this fleet")
+        for field in ("migration_events", "total_demand",
+                      "total_dropped"):
+            name = f"run/{field}"
+            _copy_exact(getattr(run, field),
+                        _run_heads(arrays[name], state, name), name)
         run.times = [float(stamp) for stamp in arrays["run/times"]]
-        run.worst = [np.array(row) for row in arrays["run/worst"]]
-        run.mean = [np.array(row) for row in arrays["run/mean"]]
-        run.dropped = [np.array(row)
-                       for row in arrays["run/dropped"]]
+        for field in ("worst", "mean", "dropped"):
+            name = f"run/{field}"
+            records = _run_heads(arrays[name].T, state, name).T
+            setattr(run, field, [np.array(row) for row in records])
         pairs = pickle.loads(arrays["cohorts/state"].tobytes())
         if len(pairs) != len(run.cohorts):
             raise CheckpointError(
@@ -500,7 +575,7 @@ def _restore_run(run: _FleetRun, snapshot: FleetSnapshot) -> None:
                 cohort.previous_utilization = None
         if meta["has_readout"]:
             run.cohort_temps = [
-                (cohort.start, cohort.stop,
+                (cohort.run_start, cohort.run_stop,
                  arrays[f"readout/temps{index}"].copy())
                 for index, cohort in enumerate(run.cohorts)]
         else:
@@ -1085,14 +1160,16 @@ class FleetSession:
 
     def delta_vth_v(self) -> np.ndarray:
         """Current per-core threshold shift, ``(n_chips, n_cores)``."""
-        return self._run.current_delta_vth().copy()
+        expand = self._simulator.state.expand
+        return expand(self._run.current_delta_vth()).copy()
 
     def delta_vth_quantile(self, fraction: float) -> float:
         """Population quantile of the per-chip worst-core shift."""
         if not 0.0 <= fraction <= 1.0:
             raise SimulationError("fraction must be in [0, 1]")
         worst = self._run.current_delta_vth().max(axis=1)
-        return float(np.quantile(worst, fraction))
+        return float(np.quantile(self._simulator.state.expand(worst),
+                                 fraction))
 
     @property
     def guardbands(self) -> np.ndarray:
@@ -1108,8 +1185,8 @@ class FleetSession:
             axis=1)
         if self._run.worst:
             recorded = np.max(np.array(self._run.worst), axis=0)
-            return np.maximum(recorded, current)
-        return current
+            current = np.maximum(recorded, current)
+        return self._simulator.state.expand(current)
 
     def guardband_quantile(self, fraction: float) -> float:
         """Population quantile of the per-chip guardband so far."""

@@ -10,7 +10,12 @@ task) per chip.  This module advances every chip in lockstep instead:
   a :class:`~repro.bti.fleet.StackedTrapPopulations`, EM
   nucleation/void accumulators in one flat
   :class:`~repro.system.aging.FleetEmState` -- plus the per-chip
-  process-variation scales drawn up front.
+  process-variation scales drawn up front.  The state keeps one row
+  block per *chip run* (consecutive chips of one cohort with bitwise
+  equal scales), so an identical population advances one
+  representative per run and its cost scales with distinct chips;
+  per-chip outputs are expanded only at the edges (records, results,
+  session queries, snapshots).
 * :class:`FleetSimulator` runs the same epoch loop as
   :class:`~repro.system.simulator.SystemSimulator`, but evaluates the
   BTI condition kernels once per epoch over the stacked cohort
@@ -326,15 +331,21 @@ class FleetGroup:
 
 
 class _Cohort:
-    """One run of consecutive chips sharing workload, phase, policy."""
+    """One run of consecutive chips sharing workload, phase, policy.
 
-    __slots__ = ("start", "stop", "workload", "policy",
-                 "previous_utilization", "previous_recovering")
+    ``start``/``stop`` bound its chips; ``run_start``/``run_stop``
+    bound its chip runs in the fleet state (set by :class:`_FleetRun`).
+    """
+
+    __slots__ = ("start", "stop", "run_start", "run_stop", "workload",
+                 "policy", "previous_utilization", "previous_recovering")
 
     def __init__(self, start: int, stop: int, workload, policy,
                  n_cores: int):
         self.start = start
         self.stop = stop
+        self.run_start = start
+        self.run_stop = stop
         self.workload = workload
         self.policy = policy
         self.previous_utilization: Optional[np.ndarray] = None
@@ -482,7 +493,7 @@ def _merge_fleet_results(parts: List[FleetResult]) -> FleetResult:
 class _EpochConditions:
     """One epoch's condition bundle for the whole stack.
 
-    Holds the full ``(n_chips, n_cores)`` stress/capture/recovery
+    Holds the full ``(n_runs, n_cores)`` stress/capture/recovery
     stack plus the per-cohort base temperature vectors (needed for
     the end-of-run EM read-out, which evaluates each cohort at its
     own hottest core).
@@ -527,13 +538,45 @@ def state_bytes_per_chip(n_cores: int,
     return trap + em
 
 
+def _scale_run_bounds(variation: FleetVariation) -> np.ndarray:
+    """Run bounds of the chips whose three scales repeat bitwise.
+
+    Chip ``k`` starts a run unless all three of its scales have the
+    raw bits of chip ``k - 1``'s.  Returns the ``(n_runs + 1,)`` chip
+    indices where runs start, closed by ``n_chips``.
+    """
+    n = variation.n_chips
+    starts = np.zeros(n, dtype=bool)
+    starts[0] = True
+    for scale in (variation.capture_scale, variation.recovery_scale,
+                  variation.em_current_scale):
+        bits = np.ascontiguousarray(scale, dtype=np.float64).view(
+            np.uint64)
+        starts[1:] |= bits[1:] != bits[:-1]
+    return np.append(np.flatnonzero(starts), n)
+
+
 class FleetState:
     """Structure-of-arrays aging state of a chip population.
 
     Owns the stacked BTI trap populations, the flat per-core EM
-    accumulators and the drawn per-chip variation scales.  The layout
-    is chip-major: core ``c`` of chip ``k`` is flat unit
-    ``k * n_cores + c``.
+    accumulators and the drawn per-chip variation scales.
+
+    The aging state holds one row block per *chip run*, not per chip:
+    a run is a maximal range of consecutive chips of one cohort whose
+    three variation scales are bitwise equal.  Such chips start from
+    the same state and see the same conditions every epoch, so their
+    trajectories are equal bit for bit and one representative
+    advances for all of them.  ``run_bounds`` holds the chip index
+    where each run starts, closed by ``n_chips``; a varied fleet has
+    one run per chip and advances exactly as a chip-per-row stack.
+    The layout is run-major: core ``c`` of run ``r`` is flat unit
+    ``r * n_cores + c``, and :meth:`expand` repeats per-run arrays
+    back to per-chip ones.
+
+    The state starts split on the variation scales alone;
+    :meth:`split_runs` adds the cohort boundaries once the population
+    layout is known.
     """
 
     def __init__(self, chip: Chip, variation: FleetVariation,
@@ -544,22 +587,80 @@ class FleetState:
         self.n_cores = chip.n_cores
         self.variation = variation
         self.state_dtype = np.dtype(state_dtype)
-        rows = self.n_chips * self.n_cores
-        population = replace(
+        self._population = replace(
             calibration.model_config.population, n_bins=_FLEET_N_BINS)
+        self._em_reference = em_reference
+        self.run_bounds = _scale_run_bounds(variation)
+        self._allocate()
+
+    def _allocate(self) -> None:
+        """Fresh BTI and EM state for the current run layout."""
+        rows = self.n_runs * self.n_cores
         # BTI sub-step kernels are not memoized: each epoch builds one
         # over its distinct rows and drops it after the sweep.
         self.bti = StackedTrapPopulations(
-            self.n_chips, self.n_cores, population,
+            self.n_runs, self.n_cores, self._population,
             dtype=self.state_dtype)
         # EM rate entries are five (rows,) arrays -- far lighter.
         em_entries = max(1, _budget_entries(
             64 * 2 ** 20, 5 * rows * 8, cap=64))
-        self.em = FleetEmState(rows, em_reference,
+        self.em = FleetEmState(rows, self._em_reference,
                                step_cache_size=em_entries)
 
+    @property
+    def n_runs(self) -> int:
+        """Chip runs the state advances (``n_chips`` when varied)."""
+        return self.run_bounds.size - 1
+
+    def split_runs(self, starts: Sequence[int]) -> None:
+        """Refine the run layout so a run starts at every chip in ``starts``.
+
+        Every chip of a refined run sat in one run before, so it takes
+        that run's state bitwise: the refinement changes no
+        trajectory.  A no-op when every chip already starts a run.
+        """
+        bounds = np.union1d(self.run_bounds, np.asarray(starts,
+                                                        dtype=np.int64))
+        if bounds.size == self.run_bounds.size:
+            return
+        source = np.searchsorted(self.run_bounds, bounds[:-1],
+                                 side="right") - 1
+        rows = (source[:, None] * self.n_cores
+                + np.arange(self.n_cores)).reshape(-1)
+        bti, em = self.bti, self.em
+        self.run_bounds = bounds
+        self._allocate()
+        for name in ("weights", "occupancy", "age_s", "permanent_v"):
+            getattr(self.bti, name)[...] = getattr(bti, name)[rows]
+        for name in ("progress_s", "nucleated", "void_reversible_m",
+                     "void_locked_m"):
+            setattr(self.em, name, getattr(em, name)[rows])
+        self.bti.time_s = bti.time_s
+        self.em.time_s = em.time_s
+
+    def at_runs(self, chip_values: np.ndarray) -> np.ndarray:
+        """The run heads' entries of a per-chip array (itself if varied)."""
+        if self.n_runs == self.n_chips:
+            return chip_values
+        return chip_values[self.run_bounds[:-1]]
+
+    def expand(self, run_values: np.ndarray, axis: int = 0
+               ) -> np.ndarray:
+        """Repeat a per-run array along ``axis`` to one entry per chip.
+
+        Returns ``run_values`` itself when every run is one chip.
+        """
+        if self.n_runs == self.n_chips:
+            return run_values
+        return np.repeat(run_values, np.diff(self.run_bounds),
+                         axis=axis)
+
     def delta_vth_v(self) -> np.ndarray:
-        """Total per-core shift, ``(n_chips, n_cores)``, as float64.
+        """Total per-core shift, ``(n_chips, n_cores)``, as float64."""
+        return self.expand(self.run_delta_vth_v())
+
+    def run_delta_vth_v(self) -> np.ndarray:
+        """Total per-core shift of each run, ``(n_runs, n_cores)``.
 
         Evaluated afresh on each call, one pass over every trap row.
         In float32 mode the reduced-precision state is upcast once
@@ -687,26 +788,29 @@ class FleetSimulator:
     def _build_group_conditions(self, keyed, token) -> _EpochConditions:
         """Assemble one full-stack bundle from per-cohort assignments.
 
-        The cohorts' base conditions are evaluated once, stacked
-        ``(n_cohorts, n_cores)`` (the thermal solves stay per cohort,
-        in cohort order), and expanded to the chip rows by one gather
-        on each chip's cohort index.  Element ``(k, c)`` of every
-        array is then ``base[cohort(k), c] * scale[k]`` -- the same
-        single multiply the scalar simulator applies, so each row
-        matches its standalone chip bitwise.
+        ``keyed`` holds each cohort's ``(start, stop, assignment)`` in
+        the state's run rows.  The cohorts' base conditions are
+        evaluated once, stacked ``(n_cohorts, n_cores)`` (the thermal
+        solves stay per cohort, in cohort order), and expanded to the
+        run rows by one gather on each run's cohort index.  Element
+        ``(r, c)`` of every array is then ``base[cohort(r), c] *
+        scale[r]`` -- the same single multiply the scalar simulator
+        applies, so each row matches its standalone chips bitwise.
         """
         v = self.variation
+        at_runs = self.state.at_runs
         temps, active, capture, recovery, j = base_epoch_conditions(
             self.chip, self.kernels,
             [assignment for _, _, assignment in keyed])
         cohort_of = np.repeat(np.arange(len(keyed)),
                               [stop - start for start, stop, _ in keyed])
-        capture2d = capture[cohort_of] * v.capture_scale[:, None]
+        capture2d = capture[cohort_of] * at_runs(v.capture_scale)[:, None]
         return _EpochConditions(
             active[cohort_of],
             np.where(capture2d > 0.0, capture2d, 1.0),
-            recovery[cohort_of] * v.recovery_scale[:, None],
-            (j[cohort_of] * v.em_current_scale[:, None]).reshape(-1),
+            recovery[cohort_of] * at_runs(v.recovery_scale)[:, None],
+            (j[cohort_of]
+             * at_runs(v.em_current_scale)[:, None]).reshape(-1),
             temps[cohort_of].reshape(-1),
             [(start, stop, temps[index])
              for index, (start, stop, _) in enumerate(keyed)],
@@ -766,6 +870,11 @@ class _FleetRun:
     follow the ``record_every`` modulo rule only, while a declared
     horizon additionally records its final epoch exactly like the
     one-shot loop.
+
+    Every per-chip quantity is kept per chip run (see
+    :class:`FleetState`): a cohort covers whole runs, so the
+    accumulators, the records and the delta-Vth carry one entry per
+    run, and :meth:`result` expands them to chips.
     """
 
     def __init__(self, simulator: FleetSimulator,
@@ -781,35 +890,41 @@ class _FleetRun:
         self.record_every = record_every
         self.n_epochs = n_epochs
         self.cohorts = simulator._build_cohorts(self.groups)
-        n_chips = simulator.state.n_chips
+        state = simulator.state
+        state.split_runs([cohort.start for cohort in self.cohorts])
+        for cohort in self.cohorts:
+            cohort.run_start, cohort.run_stop = (
+                int(index) for index in np.searchsorted(
+                    state.run_bounds, (cohort.start, cohort.stop)))
+        n_runs = state.n_runs
         self.epoch = 0
-        self.migration_events = np.zeros(n_chips, dtype=np.int64)
-        self.total_demand = np.zeros(n_chips)
-        self.total_dropped = np.zeros(n_chips)
+        self.migration_events = np.zeros(n_runs, dtype=np.int64)
+        self.total_demand = np.zeros(n_runs)
+        self.total_dropped = np.zeros(n_runs)
         self.times: List[float] = []
         self.worst: List[np.ndarray] = []
         self.mean: List[np.ndarray] = []
         self.dropped: List[np.ndarray] = []
-        self._dropped_epoch = np.empty(n_chips)
-        # Per-cohort (start, stop, temps) of the last advanced epoch;
-        # result() evaluates the EM read-out and the thermal refresh
-        # from these, so they are part of the resumable state.
+        self._dropped_epoch = np.empty(n_runs)
+        # Per-cohort (run_start, run_stop, temps) of the last advanced
+        # epoch; result() evaluates the EM read-out and the thermal
+        # refresh from these, so they are part of the resumable state.
         self.cohort_temps: Optional[
             List[Tuple[int, int, np.ndarray]]] = None
-        # The population's delta-Vth after the last advanced epoch,
-        # which the epoch loop computes anyway; derived, not saved
-        # (None until advanced, and again after a restore).
+        # The runs' delta-Vth after the last advanced epoch, which the
+        # epoch loop computes anyway; derived, not saved (None until
+        # advanced, and again after a restore).
         self.delta_vth: Optional[np.ndarray] = None
 
     def current_delta_vth(self) -> np.ndarray:
-        """The population's delta-Vth now, ``(n_chips, n_cores)``.
+        """The runs' delta-Vth now, ``(n_runs, n_cores)``.
 
         The end-of-epoch value of the last advance, or one fresh
         evaluation of the state if there was none.  Callers must not
         write into it.
         """
         if self.delta_vth is None:
-            self.delta_vth = self.simulator.state.delta_vth_v()
+            self.delta_vth = self.simulator.state.run_delta_vth_v()
         return self.delta_vth
 
     def advance(self, n_epochs: int) -> None:
@@ -843,26 +958,24 @@ class _FleetRun:
             keyed = []
             key_parts = []
             for cohort in cohorts:
+                runs = slice(cohort.run_start, cohort.run_stop)
                 demand = cohort.workload.demand(epoch)
                 assignment = cohort.policy.assign(
-                    epoch, demand,
-                    delta_vth[cohort.start:cohort.stop].max(axis=0),
+                    epoch, demand, delta_vth[runs].max(axis=0),
                     cohort.previous_utilization)
                 recovering = assignment.bti_recovering
                 migrated = int(np.count_nonzero(
                     recovering & ~cohort.previous_recovering))
                 if migrated:
-                    migration_events[cohort.start:cohort.stop] += \
-                        migrated
+                    migration_events[runs] += migrated
                 cohort.previous_recovering = recovering
                 cohort.previous_utilization = assignment.utilization
-                total_demand[cohort.start:cohort.stop] += demand
-                total_dropped[cohort.start:cohort.stop] += \
-                    assignment.dropped_demand
-                dropped_epoch[cohort.start:cohort.stop] = \
-                    assignment.dropped_demand
-                keyed.append((cohort.start, cohort.stop, assignment))
-                key_parts.append((cohort.start, cohort.stop)
+                total_demand[runs] += demand
+                total_dropped[runs] += assignment.dropped_demand
+                dropped_epoch[runs] = assignment.dropped_demand
+                keyed.append((cohort.run_start, cohort.run_stop,
+                              assignment))
+                key_parts.append((cohort.run_start, cohort.run_stop)
                                  + assignment.cache_key())
             token = tuple(key_parts)
             cond = simulator._condition_cache.get_or_build(
@@ -873,7 +986,7 @@ class _FleetRun:
                            cond.capture_safe, cond.recovery)
             state.em.step(epoch_s, cond.j_flat, cond.temps_flat,
                           key=(epoch_s, token))
-            delta_vth = state.delta_vth_v()
+            delta_vth = state.run_delta_vth_v()
             if ((epoch + 1) % record_every == 0
                     or (horizon is not None and epoch == horizon - 1)):
                 degradation = oscillator.delay_degradation_array(
@@ -901,31 +1014,40 @@ class _FleetRun:
         # thermal network is left reflecting the last cohort's solve.
         simulator.chip.thermal.temperatures_k = \
             self.cohort_temps[-1][2].copy()
-        shape = (state.n_chips, state.n_cores)
+        shape = (state.n_runs, state.n_cores)
         em_failures = np.empty(shape, dtype=bool)
         for start, stop, temps in self.cohort_temps:
             read_t = float(np.max(temps))
             em_failures[start:stop] = \
                 state.em.failed(read_t).reshape(shape)[start:stop]
         record_counters("fleet.engine", chips=state.n_chips,
-                        epochs=self.epoch, cohorts=len(self.cohorts))
+                        epochs=self.epoch, cohorts=len(self.cohorts),
+                        runs=state.n_runs)
+        expand = state.expand
         return FleetResult(
             times_s=np.array(self.times),
-            worst_degradation=np.array(self.worst),
-            mean_degradation=np.array(self.mean),
-            dropped_demand=np.array(self.dropped),
-            final_delta_vth_v=self.current_delta_vth().copy(),
-            final_permanent_vth_v=np.asarray(
+            worst_degradation=self.chip_records(self.worst),
+            mean_degradation=self.chip_records(self.mean),
+            dropped_demand=self.chip_records(self.dropped),
+            final_delta_vth_v=expand(self.current_delta_vth()).copy(),
+            final_permanent_vth_v=expand(np.asarray(
                 state.bti.permanent_vth_v(),
-                dtype=np.float64).copy(),
-            final_em_drift_ohm=state.em.delta_resistance_ohm()
-            .reshape(shape),
-            em_failures=em_failures,
+                dtype=np.float64)).copy(),
+            final_em_drift_ohm=expand(state.em.delta_resistance_ohm()
+                                      .reshape(shape)),
+            em_failures=expand(em_failures),
             variation=simulator.variation,
-            migration_events=self.migration_events.copy(),
+            migration_events=expand(self.migration_events).copy(),
             n_epochs=self.epoch,
-            total_demand=self.total_demand.copy(),
-            total_dropped_demand=self.total_dropped.copy())
+            total_demand=expand(self.total_demand).copy(),
+            total_dropped_demand=expand(self.total_dropped).copy())
+
+    def chip_records(self, records: List[np.ndarray]) -> np.ndarray:
+        """Per-run records stacked ``(n_records, n_chips)``."""
+        stacked = np.array(records)
+        if not records:
+            return stacked
+        return self.simulator.state.expand(stacked, axis=1)
 
 
 # -- population entry point -------------------------------------------------

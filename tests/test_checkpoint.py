@@ -291,11 +291,24 @@ def identical_session():
                         record_every=2)
 
 
+def chip_state(session):
+    """The session's live state arrays, one block per chip.
+
+    The fleet state holds one block per run of identical chips; this
+    repeats each run's block once per chip of the run.
+    """
+    state = session._simulator.state
+    chips = {}
+    for name, live in checkpoint_module._chip_state(state).items():
+        runs = live.reshape(state.n_runs, -1)
+        chips[name] = state.expand(runs).reshape((-1,) + live.shape[1:])
+    return chips
+
+
 def legacy_layout(session):
     """The session's snapshot as written before chip-row packing."""
     snapshot = session.snapshot()
-    state = session._simulator.state
-    for name, live in checkpoint_module._chip_state(state).items():
+    for name, live in chip_state(session).items():
         snapshot.arrays[name] = live.copy()
         del snapshot.arrays[name + REPEAT]
     return snapshot
@@ -324,8 +337,7 @@ class TestChipRowPacking:
         assert meta["epoch"] == 2 and meta["n_chips"] == 8
         # The same fleet, advanced in a session to the same epoch,
         # says which chips repeat their predecessor bitwise.
-        live = checkpoint_module._chip_state(
-            identical_session().advance(2)._simulator.state)
+        live = chip_state(identical_session().advance(2))
         for name in TRAP:
             chips = _chip_bytes(live[name], 8)
             runs = [False] + [chips[k] == chips[k - 1]
@@ -404,6 +416,122 @@ class TestChipRowPacking:
         read_snapshot(path)  # the checksum covers the bad mask
         with pytest.raises(CheckpointError, match="bti/occupancy"):
             FleetSession.load(path)
+
+
+def one_chip_groups(groups):
+    """The population as one single-chip group per chip.
+
+    Every cohort then holds one chip, so the fleet state keeps one
+    block per chip: the layout snapshots describe.
+    """
+    return tuple(
+        FleetGroup(n_chips=1, workload=group.workload,
+                   policy=group.policy,
+                   phases=(None if group.phases is None
+                           else (group.phases[k],)))
+        for group in groups for k in range(group.n_chips))
+
+
+def chip_by_chip_packing(session):
+    """The state arrays packed from their per-chip form, chip by chip."""
+    arrays = {}
+    for name, chips in chip_state(session).items():
+        arrays[name], arrays[name + REPEAT] = \
+            checkpoint_module._pack_chip_rows(chips, session.n_chips)
+    return arrays
+
+
+class TestCollapsedRunSnapshots:
+    """Snapshots of a fleet whose identical chips advance once."""
+
+    def test_save_writes_the_chip_by_chip_arrays_and_meta(self,
+                                                           tmp_path):
+        session = identical_session().advance(3)
+        assert session._simulator.state.n_runs == 3
+        reference = FleetSession(
+            (2, 2), groups=one_chip_groups(identical_groups()),
+            record_every=2).advance(3)
+        assert reference._simulator.state.n_runs == 8
+        path = tmp_path / "identical.npz"
+        session.save(path)
+        arrays, meta = read_snapshot(path)
+        expected = dict(reference.snapshot().arrays)
+        expected.update(chip_by_chip_packing(session))
+        compared = [name for name in arrays if name.startswith(
+            ("bti/", "em/", "variation/", "run/"))]
+        assert len(compared) == 28
+        for name in compared:
+            assert arrays[name].dtype == expected[name].dtype, name
+            assert arrays[name].shape == expected[name].shape, name
+            assert arrays[name].tobytes() == expected[name].tobytes(), \
+                name
+        assert meta == {
+            "kind": "fleet-session", "epoch": 3, "n_epochs": None,
+            "record_every": 2, "n_chips": 8, "n_cores": N_CORES,
+            "n_cohorts": 3, "cohort_bounds": [[0, 2], [2, 5], [5, 8]],
+            "has_previous_utilization": [True, True, True],
+            "has_readout": True, "state_dtype": "<f8",
+            "epoch_s": 3600.0}
+
+    @pytest.mark.parametrize("layout", ["packed", "legacy"])
+    def test_snapshot_restores_bitwise_into_collapsed_run(
+            self, tmp_path, layout):
+        session = identical_session().advance(3)
+        if layout == "packed":
+            snapshot = session.snapshot()
+            snapshot.arrays.update(chip_by_chip_packing(session))
+        else:
+            snapshot = legacy_layout(session)
+        path = tmp_path / f"{layout}.npz"
+        snapshot.save(path)
+        session.advance(3)
+        for restored in (FleetSession.load(path),
+                         identical_session().restore(path)):
+            assert restored._simulator.state.n_runs == 3
+            restored.advance(3)
+            assert_results_bitwise_equal(restored.result(),
+                                         session.result())
+
+    @pytest.mark.parametrize("tamper", [
+        "packed_mask", "legacy_row", "accumulator", "record",
+        "variation"])
+    def test_chip_that_differs_from_its_run_head_is_refused(
+            self, tmp_path, tamper):
+        # Chip 1 shares its run with chip 0 (group "diurnal", phase 0).
+        session = identical_session().advance(3)
+        snapshot = (legacy_layout(session) if tamper == "legacy_row"
+                    else session.snapshot())
+        arrays = snapshot.arrays
+        if tamper == "packed_mask":
+            # Chip 1 stored in its own right, mask and rows consistent.
+            mask = arrays["bti/occupancy" + REPEAT].copy()
+            kept = arrays["bti/occupancy"]
+            mask[1] = False
+            arrays["bti/occupancy" + REPEAT] = mask
+            arrays["bti/occupancy"] = np.concatenate(
+                [kept[:N_CORES], kept[:N_CORES] + 1e-3,
+                 kept[N_CORES:]])
+        elif tamper == "legacy_row":
+            occupancy = arrays["bti/occupancy"].copy()
+            occupancy[N_CORES] += 1e-3
+            arrays["bti/occupancy"] = occupancy
+        elif tamper == "accumulator":
+            arrays["run/total_demand"] = \
+                arrays["run/total_demand"].copy()
+            arrays["run/total_demand"][1] += 1.0
+        elif tamper == "record":
+            arrays["run/worst"] = arrays["run/worst"].copy()
+            arrays["run/worst"][0, 1] += 1e-3
+        else:
+            arrays["variation/capture_scale"] = \
+                arrays["variation/capture_scale"].copy()
+            arrays["variation/capture_scale"][1] = 1.1
+        path = tmp_path / f"{tamper}.npz"
+        snapshot.save(path)
+        read_snapshot(path)  # a well-formed file: the checksum holds
+        with pytest.raises(CheckpointError,
+                           match="run of identical chips"):
+            identical_session().restore(path)
 
 
 # -- incremental sessions ---------------------------------------------------

@@ -7,7 +7,9 @@ Every module reachable from those layers therefore imports them inside
 the one function that needs them.  This test imports the entry points
 in a fresh interpreter and fails if any of the three got back onto the
 import path; it then calls the two deferred users, so the deferred
-imports are shown to resolve.
+imports are shown to resolve.  A second probe imports only the CLI,
+whose module needs nothing numeric: ``repro.analysis`` resolves its
+re-exports lazily, so the solver core and ``scipy.linalg`` stay out.
 """
 
 from __future__ import annotations
@@ -52,14 +54,40 @@ print("deferred: ok")
 """
 
 
-def test_entry_points_leave_heavy_scipy_subpackages_unloaded():
+#: The CLI's own import needs only ``repro.analysis.reporting``; the
+#: solver core and ``scipy.linalg`` load with the sub-command that
+#: runs them.  The package's other re-exports must still resolve.
+CLI_PROBE = """
+import sys
+import repro.cli
+loaded = sorted(name for name in ("repro.solvers", "scipy.linalg")
+                if name in sys.modules)
+print("eager:", ",".join(loaded))
+
+import repro.analysis
+for name in repro.analysis.__all__:
+    getattr(repro.analysis, name)
+print("exports: ok")
+"""
+
+
+def _run_probe(probe: str) -> list:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
                       else []))
     completed = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True,
+        [sys.executable, "-c", probe], env=env, capture_output=True,
         text=True, timeout=300)
     assert completed.returncode == 0, completed.stderr
-    lines = completed.stdout.splitlines()
-    assert lines == ["eager: ", "deferred: ok"], completed.stdout
+    return completed.stdout.splitlines()
+
+
+def test_entry_points_leave_heavy_scipy_subpackages_unloaded():
+    lines = _run_probe(PROBE)
+    assert lines == ["eager: ", "deferred: ok"], lines
+
+
+def test_cli_import_leaves_solvers_and_scipy_linalg_unloaded():
+    lines = _run_probe(CLI_PROBE)
+    assert lines == ["eager: ", "exports: ok"], lines
